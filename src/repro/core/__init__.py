@@ -7,7 +7,7 @@ from .partitions import (
     robust_num_partitions,
     shapiro_num_partitions,
 )
-from .split import bucket_hash, split_partition, stable_hash
+from .split import split_partition, stable_hash
 from .stats import JoinStats, WriteOp
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "eq2_disk_partitions",
     "robust_num_partitions",
     "shapiro_num_partitions",
-    "bucket_hash",
     "split_partition",
     "stable_hash",
     "JoinStats",

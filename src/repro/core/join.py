@@ -19,12 +19,12 @@ actual write trace, which the storage model replays into device times.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
-from ..frames.spillfile import DiskSpillFile, MemorySpillFile
+from ..frames.spillfile import DiskSpillFile, MemorySpillFile, SpillFile
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy, RandomPct
@@ -33,7 +33,7 @@ from ..victim.policies import VictimContext, VictimPolicy
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
-from .stats import JoinStats
+from .stats import JoinStats, Phase
 
 Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
@@ -72,15 +72,6 @@ class HHJConfig:
             )
 
 
-def _norm_key(key: Any) -> Any:
-    """Canonicalize keys so 1, 1.0 and np.int64(1) all join together."""
-    if hasattr(key, "item"):
-        key = key.item()
-    if isinstance(key, float) and key.is_integer():
-        key = int(key)
-    return key
-
-
 class DynamicHybridHashJoin:
     """One (multi-round) Dynamic HHJ execution with its statistics."""
 
@@ -92,7 +83,7 @@ class DynamicHybridHashJoin:
         self.victim.reset()
 
     # -- factories -------------------------------------------------------
-    def _spill_file_factory(self) -> Callable[[], Any]:
+    def _spill_file_factory(self) -> Callable[[], SpillFile]:
         if self.cfg.use_disk_spill:
             return lambda: DiskSpillFile(dir=self.cfg.spill_dir)
         return MemorySpillFile
@@ -105,23 +96,41 @@ class DynamicHybridHashJoin:
         pol = make_insertion(ins)
         if isinstance(pol, RandomPct):
             # distinct deterministic stream per partition
-            pol = RandomPct(pol.pct, seed=self.cfg.seed * 1000003 + pid)
+            pol.rng.seed(self.cfg.seed * 1000003 + pid)
         return pol
 
     def _new_partitions(self, p: int) -> List[Partition]:
-        parts = []
-        for pid in range(p):
-            part = Partition(pid, self.cfg.frame_bytes, self._spill_file_factory())
-            part.insertion = self._insertion_for(pid)  # type: ignore[attr-defined]
-            parts.append(part)
-        return parts
+        factory = self._spill_file_factory()
+        return [Partition(pid, self.cfg.frame_bytes, factory, self._insertion_for(pid))
+                for pid in range(p)]
+
+    def _admit(self, records: Iterable[Record]) -> Iterator[Record]:
+        """Every input record enters the operator here, exactly once.
+
+        The operator's only key canonicalisation (1, 1.0 and np.int64(1)
+        all join together) and its only record-size check, for both
+        sides. Spilled records keep the canonical key, so later rounds,
+        reload and the fallback joins never redo either.
+        """
+        fb = self.cfg.frame_bytes
+        for key, size, payload in records:
+            if not 0 < size <= fb:
+                raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
+                                 "records must be non-empty and fit one frame")
+            if type(key) is not int:     # plain ints, the common case, are canonical
+                if hasattr(key, "item"):
+                    key = key.item()
+                if isinstance(key, float) and key.is_integer():
+                    key = int(key)
+            yield key, size, payload
 
     # -- public API ------------------------------------------------------
     def run(self, build: Iterable[Record], probe: Iterable[Record]) -> Iterator[Pair]:
-        """Execute the join; yields (build_payload, probe_payload) pairs."""
-        yield from self._round(iter(build), iter(probe), level=0,
-                               build_frames=None, probe_frames=None,
-                               parent_build_frames=None, swapped=False)
+        """Execute the join lazily: an iterator of (build_payload,
+        probe_payload) pairs."""
+        return self._round(self._admit(build), self._admit(probe), level=0,
+                           build_frames=None, parent_build_frames=None,
+                           swapped=False)
 
     def run_collect(self, build: Iterable[Record], probe: Iterable[Record]) -> List[Pair]:
         return list(self.run(build, probe))
@@ -138,27 +147,31 @@ class DynamicHybridHashJoin:
         p = min(p, cfg.memory_frames)
         partitions = self._new_partitions(p)
         pool = BufferPool(cfg.memory_frames)
-        for key, size, payload in build:
-            self._insert(_norm_key(key), size, payload, partitions, pool,
-                         p, level=0, phase="build")
-        self._flush_spilled_tails(partitions, pool, "build", 0)
+        try:
+            for key, size, payload in self._admit(build):
+                self._insert(key, size, payload, partitions, pool, p, 0, "build")
+            self._flush_spilled_tails(partitions, pool, "build", 0)
+        except BaseException:
+            for q in partitions:
+                q.close()
+            raise
         self._collect_search_stats(partitions)
         return partitions
 
     # -- one round -------------------------------------------------------
     def _round(self, build: Iterator[Record], probe: Iterator[Record],
-               level: int, build_frames: Optional[int], probe_frames: Optional[int],
+               level: int, build_frames: Optional[int],
                parent_build_frames: Optional[int], swapped: bool) -> Iterator[Pair]:
         cfg = self.cfg
         if level > cfg.max_levels:
-            yield from self._bnlj(build, probe, level, swapped)
+            yield from self._bnlj(build, probe, swapped)
             return
 
         # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
         if (cfg.bailout and level > 0 and parent_build_frames is not None
                 and build_frames is not None and parent_build_frames > 0
                 and build_frames >= (1.0 - cfg.bailout_threshold) * parent_build_frames):
-            yield from self._bnlj(build, probe, level, swapped)
+            yield from self._bnlj(build, probe, swapped)
             return
 
         # §8.3 in-memory shortcut: known-small build skips partitioning.
@@ -167,7 +180,8 @@ class DynamicHybridHashJoin:
             yield from self._in_memory_join(build, probe, swapped)
             return
 
-        self.stats.rounds += 1
+        stats = self.stats
+        stats.rounds += 1
         if build_frames is not None:
             p = robust_num_partitions(cfg.memory_frames, build_frames,
                                       cfg.fudge, cfg.min_partitions)
@@ -176,93 +190,88 @@ class DynamicHybridHashJoin:
         p = max(2, min(p, cfg.memory_frames))
 
         partitions = self._new_partitions(p)
+        probe_files: Dict[int, SpillFile] = {}
         pool = BufferPool(cfg.memory_frames)
+        try:
+            # ---------------- build phase ----------------
+            build_bytes = 0
+            for key, size, payload in build:
+                build_bytes += size
+                self._insert(key, size, payload, partitions, pool, p, level, "build")
+            this_build_frames = max(1, -(-build_bytes // cfg.frame_bytes))
 
-        # ---------------- build phase ----------------
-        build_bytes = 0
-        for key, size, payload in build:
-            key = _norm_key(key)
-            build_bytes += size
-            self._insert(key, size, payload, partitions, pool, p, level, "build")
-        this_build_frames = max(1, -(-build_bytes // cfg.frame_bytes))
+            self._flush_spilled_tails(partitions, pool, "build", level)
 
-        self._flush_spilled_tails(partitions, pool, "build", level)
+            # §8.5 reload spilled partitions that fit the leftover memory.
+            if cfg.reload_spilled:
+                self._reload_spilled(partitions, pool, level)
 
-        # §8.5 reload spilled partitions that fit the leftover memory.
-        if cfg.reload_spilled:
-            self._reload_spilled(partitions, pool, level)
+            # Make room for one probe output buffer per spilled partition.
+            self._reserve_probe_buffers(partitions, pool, level)
 
-        # Make room for one probe output buffer per spilled partition.
-        self._reserve_probe_buffers(partitions, pool, level)
+            resident = [q for q in partitions if not q.spilled]
+            spilled = [q for q in partitions if q.spilled]
+            table = self._hash_table(resident)
 
-        resident = [q for q in partitions if not q.spilled]
-        spilled = [q for q in partitions if q.spilled]
-        table = self._hash_table(resident)
-
-        # ---------------- probe phase ----------------
-        probe_files = {q.pid: self._spill_file_factory()() for q in spilled}
-        probe_bufs = {q.pid: q.frames[0] if q.frames else None for q in spilled}
-        for q in spilled:
-            if probe_bufs[q.pid] is None:
-                pool.allocate(1)
-                probe_bufs[q.pid] = q.new_frame()
-        for key, size, payload in probe:
-            key = _norm_key(key)
-            self.stats.records_processed += 1
-            pid = split_partition(key, p, level)
-            if pid in probe_files:
-                buf = probe_bufs[pid]
-                if not buf.fits(size):
-                    probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
-                    self.stats.record_write(1, buf.used, "probe", pid, level)
+            # ---------------- probe phase ----------------
+            new_file = self._spill_file_factory()
+            probe_files.update((q.pid, new_file()) for q in spilled)
+            probe_bufs = {q.pid: q.frames[0] if q.frames else None for q in spilled}
+            for q in spilled:
+                if probe_bufs[q.pid] is None:
+                    pool.allocate(1)
+                    probe_bufs[q.pid] = q.new_frame()
+            for key, size, payload in probe:
+                stats.records_processed += 1
+                pid = split_partition(key, p, level)
+                if pid in probe_files:
+                    buf = probe_bufs[pid]
+                    if not buf.fits(size):
+                        probe_files[pid].write_frames([buf], stats, "probe", pid, level)
+                        buf.clear()
+                    buf.insert(size, (key, payload))
+                else:
+                    stats.hash_probes += 1
+                    for bpayload in table.get(key, ()):
+                        yield (bpayload, payload) if not swapped else (payload, bpayload)
+            for pid, buf in probe_bufs.items():
+                if buf.used > 0:
+                    probe_files[pid].write_frames([buf], stats, "probe", pid, level)
                     buf.clear()
-                buf.insert(size, (key, payload))
-            else:
-                self.stats.hash_probes += 1
-                for bpayload in table.get(key, ()):
-                    yield (bpayload, payload) if not swapped else (payload, bpayload)
-        for pid, buf in probe_bufs.items():
-            if buf.used > 0:
-                probe_files[pid].write_frame(buf.records, cfg.frame_bytes)
-                self.stats.record_write(1, buf.used, "probe", pid, level)
-                buf.clear()
 
-        del table
-        for q in resident:
-            q.close()
+            del table
+            for q in resident:
+                q.close()
 
-        # ---------------- recursion on spilled pairs ----------------
-        for q in spilled:
-            bfile, pfile = q.spill_file, probe_files[q.pid]
-            b_frames = bfile.frames_written if bfile else 0
-            p_frames = pfile.frames_written
-            if b_frames == 0 or p_frames == 0:
-                if bfile:
-                    bfile.close()
+            # ---------------- recursion on spilled pairs ----------------
+            for q in spilled:
+                bfile, pfile = q.spill_file, probe_files[q.pid]
+                b_frames = bfile.frames_written if bfile else 0
+                p_frames = pfile.frames_written
+                if b_frames and p_frames:
+                    stats.frames_read += b_frames + p_frames
+                    child_build = self._spill_records(bfile)
+                    child_probe = self._spill_records(pfile)
+                    child_bf, child_swapped = b_frames, swapped
+                    if cfg.role_reversal and p_frames < b_frames:
+                        child_build, child_probe = child_probe, child_build
+                        child_bf, child_swapped = p_frames, not swapped
+                        stats.role_reversals += 1
+                    yield from self._round(child_build, child_probe, level + 1,
+                                           child_bf, this_build_frames, child_swapped)
+                q.close()
                 pfile.close()
-                continue
-            self.stats.frames_read += b_frames + p_frames
-            b_records = self._spill_records(bfile)
-            p_records = self._spill_records(pfile)
-            child_build, child_probe = b_records, p_records
-            child_bf, child_pf = b_frames, p_frames
-            child_swapped = swapped
-            if cfg.role_reversal and p_frames < b_frames:
-                child_build, child_probe = p_records, b_records
-                child_bf, child_pf = p_frames, b_frames
-                child_swapped = not swapped
-                self.stats.role_reversals += 1
-            yield from self._round(child_build, child_probe, level + 1,
-                                   child_bf, child_pf, this_build_frames,
-                                   child_swapped)
-            if bfile:
-                bfile.close()
-            pfile.close()
 
-        self._collect_search_stats(partitions)
+            self._collect_search_stats(partitions)
+        finally:
+            # every exit path, early generator close and exceptions included
+            for q in partitions:
+                q.close()
+            for f in probe_files.values():
+                f.close()
 
     @staticmethod
-    def _spill_records(spill_file) -> Iterator[Record]:
+    def _spill_records(spill_file: SpillFile) -> Iterator[Record]:
         """Replay a spill file as (key, size, payload) records.
 
         Frames store records as ``(size, (key, payload))`` — the key is
@@ -275,75 +284,49 @@ class DynamicHybridHashJoin:
     # -- record insertion (build side) -----------------------------------
     def _insert(self, key: Any, size: int, payload: Any,
                 partitions: List[Partition], pool: BufferPool, p: int,
-                level: int, phase: str) -> None:
-        cfg = self.cfg
-        if size > cfg.frame_bytes:
-            raise ValueError(
-                f"record of {size} B exceeds frame size {cfg.frame_bytes} B"
-            )
+                level: int, phase: Phase) -> None:
         self.stats.records_processed += 1
-        pid = split_partition(key, p, level)
-        part = partitions[pid]
+        part = partitions[split_partition(key, p, level)]
         stored = (key, payload)  # spill files must retain the key for re-partitioning
-
-        if part.spilled:
-            self._insert_spilled(part, key, size, stored, partitions, pool,
-                                 level, phase)
-            return
-
-        idx = part.insertion.find_frame(part.frames, size)
-        if idx is not None:
-            part.frames[idx].insert(size, stored)
-            part.insertion.notify_inserted(idx, size, appended=False)
-            return
-        # need a new frame
-        while not pool.can_allocate(1):
-            has_resident = any(not q.spilled and q.num_frames >= 1 for q in partitions)
-            has_grown = any(q.spilled and q.num_frames > 1 for q in partitions)
-            if not (has_resident or has_grown):
-                raise MemoryError(
-                    "cannot free memory: all partitions spilled and pool full "
-                    f"(budget={pool.budget}, P={p})"
-                )
-            ctx = VictimContext(pid, sum(1 for q in partitions if q.spilled), p)
-            self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                    self.stats, phase, level)
-            if part.spilled:
-                # our own partition was victimized while freeing memory
-                self._insert_spilled(part, key, size, stored, partitions, pool,
-                                     level, phase)
+        if not part.spilled:
+            if part.insert(size, stored):
                 return
-        pool.allocate(1)
-        part.new_frame().insert(size, stored)
-        part.insertion.notify_inserted(part.num_frames - 1, size, appended=True)
-
-    def _insert_spilled(self, part: Partition, key: Any, size: int, stored: Any,
-                        partitions: List[Partition], pool: BufferPool,
-                        level: int, phase: str) -> None:
-        ok = self.growth.insert_into_spilled(part, size, stored, pool,
-                                             part.insertion, self.stats,
-                                             phase, level)
-        while not ok:
-            has_resident = any(not q.spilled and q.num_frames >= 1 for q in partitions)
-            has_grown = any(q.spilled and q.num_frames > 1 for q in partitions)
-            if has_resident or has_grown:
-                ctx = VictimContext(part.pid,
-                                    sum(1 for q in partitions if q.spilled),
-                                    len(partitions))
-                self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                        self.stats, phase, level)
-            elif part.num_frames >= 1:
-                # last resort: recycle our own (full) buffer via a flush
-                self.growth.flush_spilled(part, pool, self.stats, phase, level)
-            else:
+            while not pool.can_allocate(1) and not part.spilled:
+                if not self._free_memory(partitions, part.pid, pool, phase, level):
+                    raise MemoryError(
+                        "cannot free memory: all partitions spilled and pool full "
+                        f"(budget={pool.budget}, P={p})"
+                    )
+            if not part.spilled:
+                pool.allocate(1)
+                part.insert_new_frame(size, stored)
+                return
+            # else: our own partition was victimized while freeing memory
+        while not self.growth.insert_into_spilled(part, size, stored, pool,
+                                                  self.stats, phase, level):
+            if self._free_memory(partitions, part.pid, pool, phase, level):
+                continue
+            if part.num_frames == 0:
                 raise MemoryError("spilled-partition insert cannot make progress")
-            ok = self.growth.insert_into_spilled(part, size, stored, pool,
-                                                 part.insertion, self.stats,
-                                                 phase, level)
+            # last resort: recycle our own (full) buffer via a flush
+            self.growth.flush_spilled(part, pool, self.stats, phase, level)
+
+    def _free_memory(self, partitions: List[Partition], pid: int, pool: BufferPool,
+                     phase: Phase, level: int) -> bool:
+        """Let the growth policy free frames for a record of partition
+        ``pid``; False when no partition holds a frame it could give up."""
+        if not any(q.num_frames > 1 if q.spilled else q.num_frames >= 1
+                   for q in partitions):
+            return False
+        ctx = VictimContext(pid, sum(1 for q in partitions if q.spilled),
+                            len(partitions))
+        self.growth.free_memory(partitions, ctx, pool, self.victim,
+                                self.stats, phase, level)
+        return True
 
     # -- build-phase epilogue --------------------------------------------
     def _flush_spilled_tails(self, partitions: List[Partition], pool: BufferPool,
-                             phase: str, level: int) -> None:
+                             phase: Phase, level: int) -> None:
         """End of build: every spilled partition's leftover frames go to disk."""
         for q in partitions:
             if q.spilled and q.num_frames > 0 and q.in_memory_bytes > 0:
@@ -372,17 +355,13 @@ class DynamicHybridHashJoin:
             ok = True
             q.spilled = False
             for size, stored in records:
-                idx = q.insertion.find_frame(q.frames, size)
-                if idx is not None:
-                    q.frames[idx].insert(size, stored)
-                    q.insertion.notify_inserted(idx, size, appended=False)
+                if q.insert(size, stored):
                     continue
                 if not pool.can_allocate(1):
                     ok = False
                     break
                 pool.allocate(1)
-                q.new_frame().insert(size, stored)
-                q.insertion.notify_inserted(q.num_frames - 1, size, appended=True)
+                q.insert_new_frame(size, stored)
             if ok:
                 q.spill_file.close()
                 q.spill_file = None
@@ -421,30 +400,36 @@ class DynamicHybridHashJoin:
 
     def _collect_search_stats(self, partitions: List[Partition]) -> None:
         for q in partitions:
-            pol = getattr(q, "insertion", None)
-            if pol is not None:
-                self.stats.frames_searched += pol.frames_searched
-                pol.reset_stats()
+            self.stats.frames_searched += q.insertion.frames_searched
+            q.insertion.reset_stats()
 
     # -- fallback operators ----------------------------------------------
+    @staticmethod
+    def _probe_table(table: dict, probe: Iterable[Record],
+                     swapped: bool) -> Generator[Pair, None, int]:
+        """Join ``probe`` against ``table`` (key → build payloads), the
+        pairs oriented for ``swapped``; returns the probe records seen."""
+        n = 0
+        for key, _size, payload in probe:
+            n += 1
+            for bpayload in table.get(key, ()):
+                yield (bpayload, payload) if not swapped else (payload, bpayload)
+        return n
+
     def _in_memory_join(self, build: Iterator[Record], probe: Iterator[Record],
                         swapped: bool) -> Iterator[Pair]:
         """§8.3: skip partitioning, hash the whole build input directly."""
         self.stats.in_memory_rounds += 1
         table: dict = {}
-        for key, size, payload in build:
-            key = _norm_key(key)
+        for key, _size, payload in build:
             self.stats.records_processed += 1
             table.setdefault(key, []).append(payload)
-        for key, size, payload in probe:
-            key = _norm_key(key)
-            self.stats.records_processed += 1
-            self.stats.hash_probes += 1
-            for bpayload in table.get(key, ()):
-                yield (bpayload, payload) if not swapped else (payload, bpayload)
+        n = yield from self._probe_table(table, probe, swapped)
+        self.stats.records_processed += n
+        self.stats.hash_probes += n
 
     def _bnlj(self, build: Iterator[Record], probe: Iterator[Record],
-              level: int, swapped: bool) -> Iterator[Pair]:
+              swapped: bool) -> Iterator[Pair]:
         """§8.1 bail-out: block-nested-loop equijoin.
 
         Loads the build side block-by-block (a block = the memory budget
@@ -459,24 +444,17 @@ class DynamicHybridHashJoin:
         probe_cache: List[Record] = list(probe)
         block: dict = {}
         used = 0
-
-        def flush_block() -> Iterator[Pair]:
-            for pkey, psize, ppayload in probe_cache:
-                pkey = _norm_key(pkey)
-                self.stats.comparisons += 1
-                for bpayload in block.get(pkey, ()):
-                    yield (bpayload, ppayload) if not swapped else (ppayload, bpayload)
-
         for key, size, payload in build:
-            key = _norm_key(key)
             self.stats.records_processed += 1
             if used + size > block_bytes and block:
-                yield from flush_block()
+                self.stats.comparisons += yield from self._probe_table(
+                    block, probe_cache, swapped)
                 block, used = {}, 0
             block.setdefault(key, []).append(payload)
             used += size
         if block:
-            yield from flush_block()
+            self.stats.comparisons += yield from self._probe_table(
+                block, probe_cache, swapped)
 
 
 def dynamic_hash_join(build: Iterable[Record], probe: Iterable[Record],

@@ -67,7 +67,8 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     to the session's shuffle parallelism). ``size_column`` names an
     integer column carrying each record's nominal size in bytes (the
     Wisconsin datasets provide one); otherwise sizes are estimated from
-    the pandas memory footprint.
+    the pandas memory footprint. A size outside ``(0, cfg.frame_bytes]``
+    fails the join, as it does in the operator.
 
     Returns all build columns followed by all probe columns (collisions
     suffixed). Inner-join semantics: null keys never match.
@@ -97,9 +98,8 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
             return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols})
         bpdf = bpdf.drop(columns=[_PART_COL])
         ppdf = ppdf.drop(columns=[_PART_COL])
-        fb = cfg_dict["frame_bytes"]
-        bsizes = [min(s, fb) for s in _estimate_sizes(bpdf, size_column)]
-        psizes = [min(s, fb) for s in _estimate_sizes(ppdf, size_column)]
+        bsizes = _estimate_sizes(bpdf, size_column)
+        psizes = _estimate_sizes(ppdf, size_column)
         brows = list(bpdf.itertuples(index=False, name=None))
         prows = list(ppdf.itertuples(index=False, name=None))
         build_recs = ((row[bkey_idx], bsizes[i], row) for i, row in enumerate(brows))

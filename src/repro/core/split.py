@@ -29,24 +29,20 @@ def _splitmix64(x: int) -> int:
 def stable_hash(key: Any, seed: int = 0) -> int:
     """64-bit deterministic hash of a join-key value.
 
-    Integers (incl. numpy ints) take the fast arithmetic path; any other
-    type is hashed from its canonical ``repr`` bytes via CRC32 and then
-    mixed. Floats that are integral are first normalized to int so that
-    Spark's float64 columns and DuckDB's integers agree.
+    Any key ``int()`` accepts hashes as that integer: ints, bools, numpy
+    ints and floats (truncated, so integral floats agree with ints), and
+    digit strings. Bytes are hashed from their CRC32 and every other key
+    from the CRC32 of its ``repr``. The operator canonicalises keys on
+    entry (``DynamicHybridHashJoin._admit``); this function needs no
+    canonical form of its own.
     """
-    if isinstance(key, bool):
-        key = int(key)
-    if isinstance(key, float) and key.is_integer():
-        key = int(key)
     if isinstance(key, int):
-        return _splitmix64((key ^ (seed * _GOLDEN)) & _MASK64)
-    if isinstance(key, (bytes, bytearray)):
+        base = key
+    elif isinstance(key, (bytes, bytearray)):
         base = zlib.crc32(bytes(key))
     else:
         try:
-            # numpy scalar ints
             base = int(key)
-            return _splitmix64((base ^ (seed * _GOLDEN)) & _MASK64)
         except (TypeError, ValueError):
             base = zlib.crc32(repr(key).encode("utf-8"))
     return _splitmix64((base ^ (seed * _GOLDEN)) & _MASK64)
@@ -58,7 +54,3 @@ def split_partition(key: Any, num_partitions: int, level: int = 0) -> int:
         raise ValueError("num_partitions must be >= 1")
     return stable_hash(key, seed=0xA5A5 + level) % num_partitions
 
-
-def bucket_hash(key: Any, level: int = 0) -> int:
-    """Hash-table hash, independent of the same level's split function."""
-    return stable_hash(key, seed=0x5A5A0 + level)

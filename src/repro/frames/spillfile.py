@@ -9,28 +9,58 @@ Two implementations behind one interface:
   used by the Spark-executor operator so a partition pair larger than the
   configured budget does not balloon executor memory.
 
-Both count frames and bytes written so the I/O accounting (and hence the
-storage model) sees identical traces.
+Both count frames and bytes written, and both record their writes in
+the operator's :class:`~repro.core.stats.JoinStats` through the one
+method they share, :meth:`SpillFile.write_frames`, so the I/O accounting
+(and hence the storage model) sees exactly what the files hold.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import tempfile
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, List, Sequence, Tuple
 
-Record = Tuple[Any, int, Any]  # (key, size, payload)
+if TYPE_CHECKING:
+    from ..core.stats import JoinStats, Phase
+    from .frame import Frame
+
+Record = Tuple[int, Any]  # (size, payload), as frames hold them
 
 
-class MemorySpillFile:
-    """In-memory stand-in for a partition's disk file."""
+class SpillFile:
+    """Write counters and accounted multi-frame writes of a spill file."""
 
     def __init__(self) -> None:
-        self._records: List[Record] = []
         self.frames_written = 0
         self.bytes_written = 0
 
-    def write_frame(self, records: Sequence[Record], frame_bytes: int) -> None:
+    def write_frame(self, records: Sequence[Record]) -> None:
+        raise NotImplementedError
+
+    def write_frames(self, frames: Sequence["Frame"], stats: "JoinStats",
+                     phase: "Phase", pid: int, round_no: int) -> int:
+        """Write ``frames`` as one write op of partition ``pid``.
+
+        The only place a write is recorded in ``stats``, from this file's
+        own counters, so the two cannot drift apart. Returns bytes written.
+        """
+        frames0, bytes0 = self.frames_written, self.bytes_written
+        for f in frames:
+            self.write_frame(f.records)
+        moved = self.bytes_written - bytes0
+        stats.record_write(self.frames_written - frames0, moved, phase, pid, round_no)
+        return moved
+
+
+class MemorySpillFile(SpillFile):
+    """In-memory stand-in for a partition's disk file."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._records: List[Record] = []
+
+    def write_frame(self, records: Sequence[Record]) -> None:
         """Append one frame's worth of records; accounts one frame of I/O."""
         self._records.extend(records)
         self.frames_written += 1
@@ -44,16 +74,15 @@ class MemorySpillFile:
         self._records = []
 
 
-class DiskSpillFile:
+class DiskSpillFile(SpillFile):
     """Real temp-file spill target (pickle per frame batch)."""
 
     def __init__(self, dir: str | None = None) -> None:
+        super().__init__()
         fd, self.path = tempfile.mkstemp(prefix="repro-spill-", dir=dir)
         self._f = os.fdopen(fd, "w+b")
-        self.frames_written = 0
-        self.bytes_written = 0
 
-    def write_frame(self, records: Sequence[Record], frame_bytes: int) -> None:
+    def write_frame(self, records: Sequence[Record]) -> None:
         pickle.dump(list(records), self._f, protocol=pickle.HIGHEST_PROTOCOL)
         self.frames_written += 1
         self.bytes_written += sum(r[0] for r in records)

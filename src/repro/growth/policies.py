@@ -19,12 +19,36 @@ first spill and differ only in how the remainder is written.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
-from ..core.stats import JoinStats, Phase
 from ..victim.policies import VictimContext, VictimPolicy
+
+if TYPE_CHECKING:
+    from ..core.stats import JoinStats, Phase
+
+
+def _write_out(part: Partition, pool: BufferPool, stats: JoinStats, phase: Phase,
+               round_no: int, keep_buffer: bool) -> int:
+    """Write a partition's non-empty frames as one op (sequential iff >1
+    frame) and release its frames, keeping one cleared output buffer if
+    ``keep_buffer``. Returns frames freed."""
+    n = part.num_frames
+    if n == 0:
+        return 0
+    nonempty = [f for f in part.frames if f.used > 0]
+    if nonempty:
+        part.flush_frames(nonempty, stats, phase, round_no)
+    if keep_buffer:
+        buffer = part.frames[-1]
+        buffer.clear()
+        part.frames = [buffer]
+        pool.release(n - 1)
+        return n - 1
+    part.frames = []
+    pool.release(n)
+    return n
 
 
 class GrowthPolicy:
@@ -37,25 +61,11 @@ class GrowthPolicy:
         """Spill a memory-resident partition for the first time.
 
         Writes all its frames as one sequential chunk, keeps one cleared
-        output-buffer frame, releases the rest. Returns frames freed.
+        output-buffer frame, releases the rest. Returns frames freed. An
+        empty partition allocates its buffer lazily on first insert.
         """
         assert not part.spilled, f"partition {part.pid} already spilled"
-        n = part.num_frames
-        payload = part.in_memory_bytes
-        if n > 0:
-            nonempty = [f for f in part.frames if f.used > 0]
-            part.flush_frames(nonempty)
-            stats.record_write(len(nonempty), payload, phase, part.pid, round_no)
-            # keep the newest frame object as the (cleared) output buffer
-            buffer = part.frames[-1]
-            buffer.clear()
-            part.frames = [buffer]
-            pool.release(n - 1)
-            freed = n - 1
-        else:
-            # spilling an empty partition still needs a buffer eventually;
-            # allocate lazily on first insert instead.
-            freed = 0
+        freed = _write_out(part, pool, stats, phase, round_no, keep_buffer=True)
         part.spilled = True
         stats.partitions_spilled += 1
         return freed
@@ -67,35 +77,11 @@ class GrowthPolicy:
         One write op covering all its frames (sequential iff >1 frame).
         Returns frames freed.
         """
-        n = part.num_frames
-        if n == 0:
-            return 0
-        payload = part.in_memory_bytes
-        if payload == 0:
-            # only empty frames — nothing to write, just shrink
-            if keep_buffer:
-                pool.release(n - 1)
-                part.frames = part.frames[-1:]
-                return n - 1
-            pool.release(n)
-            part.frames = []
-            return n
-        nonempty = [f for f in part.frames if f.used > 0]
-        part.flush_frames(nonempty)
-        stats.record_write(len(nonempty), payload, phase, part.pid, round_no)
-        if keep_buffer:
-            buffer = part.frames[-1]
-            buffer.clear()
-            part.frames = [buffer]
-            pool.release(n - 1)
-            return n - 1
-        part.frames = []
-        pool.release(n)
-        return n
+        return _write_out(part, pool, stats, phase, round_no, keep_buffer)
 
     # -- hooks the operator calls ---------------------------------------
     def insert_into_spilled(self, part: Partition, size: int, payload,
-                            pool: BufferPool, insertion, stats: JoinStats,
+                            pool: BufferPool, stats: JoinStats,
                             phase: Phase, round_no: int) -> bool:
         """Insert a record routed to an already-spilled partition.
 
@@ -110,13 +96,24 @@ class GrowthPolicy:
         """Free at least some frames; returns the number freed (0 = stuck)."""
         raise NotImplementedError
 
+    def _spill_resident(self, partitions, ctx, pool, victim, stats,
+                        phase, round_no) -> int:
+        """Spill the memory-resident partition the §7 victim policy picks."""
+        candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
+        if not candidates:
+            return 0
+        target = victim.choose(candidates, ctx)
+        freed = self.initial_spill(target, pool, stats, phase, round_no)
+        target.insertion.notify_spilled()
+        return freed
+
 
 class NoGrowNoSteal(GrowthPolicy):
     """NG-NS: spilled partitions own exactly one output-buffer frame."""
 
     name = "ng-ns"
 
-    def insert_into_spilled(self, part, size, payload, pool, insertion, stats,
+    def insert_into_spilled(self, part, size, payload, pool, stats,
                             phase, round_no) -> bool:
         if part.num_frames == 0:
             if not pool.can_allocate(1):
@@ -127,22 +124,15 @@ class NoGrowNoSteal(GrowthPolicy):
         buf = part.frames[0]
         if not buf.fits(size):
             # single-frame flush → random write (§6.1)
-            part.flush_frames([buf])
-            stats.record_write(1, buf.used, phase, part.pid, round_no)
+            part.flush_frames([buf], stats, phase, round_no)
             buf.clear()
         buf.insert(size, payload)
         return True
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
                     phase, round_no) -> int:
-        candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
-        if not candidates:
-            return 0
-        target = victim.choose(candidates, ctx)
-        freed = self.initial_spill(target, pool, stats, phase, round_no)
-        if target_insertion := getattr(target, "insertion", None):
-            target_insertion.notify_spilled()
-        return freed
+        return self._spill_resident(partitions, ctx, pool, victim, stats,
+                                    phase, round_no)
 
 
 class GrowSteal(GrowthPolicy):
@@ -150,17 +140,13 @@ class GrowSteal(GrowthPolicy):
 
     name = "g-s"
 
-    def insert_into_spilled(self, part, size, payload, pool, insertion, stats,
+    def insert_into_spilled(self, part, size, payload, pool, stats,
                             phase, round_no) -> bool:
-        idx: Optional[int] = insertion.find_frame(part.frames, size) if part.frames else None
-        if idx is not None:
-            part.frames[idx].insert(size, payload)
-            insertion.notify_inserted(idx, size, appended=False)
+        if part.frames and part.insert(size, payload):
             return True
         if pool.can_allocate(1):
             pool.allocate(1)
-            part.new_frame().insert(size, payload)
-            insertion.notify_inserted(part.num_frames - 1, size, appended=True)
+            part.insert_new_frame(size, payload)
             return True
         return False
 
@@ -171,17 +157,10 @@ class GrowSteal(GrowthPolicy):
         if spilled:
             target = max(spilled, key=lambda p: (p.num_frames, -p.pid))
             freed = self.flush_spilled(target, pool, stats, phase, round_no)
-            if target_insertion := getattr(target, "insertion", None):
-                target_insertion.notify_spilled()
+            target.insertion.notify_spilled()
             return freed
-        candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
-        if not candidates:
-            return 0
-        target = victim.choose(candidates, ctx)
-        freed = self.initial_spill(target, pool, stats, phase, round_no)
-        if target_insertion := getattr(target, "insertion", None):
-            target_insertion.notify_spilled()
-        return freed
+        return self._spill_resident(partitions, ctx, pool, victim, stats,
+                                    phase, round_no)
 
 
 def make_policy(name: str) -> GrowthPolicy:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from ..frames.frame import Frame
+if TYPE_CHECKING:
+    from ..frames.frame import Frame
 
 
 class InsertionPolicy:
@@ -188,7 +189,7 @@ class RandomPct(InsertionPolicy):
         if not 0 < pct <= 1:
             raise ValueError("Random(%p) needs 0 < p <= 1")
         self.pct = pct
-        self._rng = random.Random(seed)
+        self.rng = random.Random(seed)   # the operator reseeds it per partition
         self.name = f"random({int(pct * 100)}%)"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
@@ -196,29 +197,32 @@ class RandomPct(InsertionPolicy):
         if not frames:
             return None
         k = min(len(frames), math.ceil(self.pct * len(frames)))
-        for i in self._rng.sample(range(len(frames)), k):
+        for i in self.rng.sample(range(len(frames)), k):
             self.frames_searched += 1
             if frames[i].fits(size):
                 return i
         return None
 
 
+#: The six §5.3 contenders at the paper's chosen parameter values.
+_CONSTRUCTORS = {
+    "append(8)": lambda: AppendN(8),
+    "first-fit": FirstFit,
+    "first-fit(10%)": lambda: FirstFitPct(0.10),
+    "best-fit": BestFit,
+    "next-fit": NextFit,
+    "random(10%)": lambda: RandomPct(0.10),
+}
+
+
 def default_policies() -> dict:
-    """The six §5.3 contenders at the paper's chosen parameter values."""
-    return {
-        "append(8)": AppendN(8),
-        "first-fit": FirstFit(),
-        "first-fit(10%)": FirstFitPct(0.10),
-        "best-fit": BestFit(),
-        "next-fit": NextFit(),
-        "random(10%)": RandomPct(0.10),
-    }
+    """Fresh instances of the six §5.3 contenders, keyed by canonical name."""
+    return {name: make() for name, make in _CONSTRUCTORS.items()}
 
 
 def make_policy(name: str) -> InsertionPolicy:
-    """Construct a policy from its canonical name (fresh stats)."""
-    p = default_policies().get(name)
-    if p is None:
+    """Construct one policy from its canonical name (fresh stats)."""
+    if name not in _CONSTRUCTORS:
         raise KeyError(f"unknown insertion policy {name!r}; "
-                       f"choose from {sorted(default_policies())}")
-    return p
+                       f"choose from {sorted(_CONSTRUCTORS)}")
+    return _CONSTRUCTORS[name]()

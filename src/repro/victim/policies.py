@@ -206,16 +206,17 @@ ALL_POLICY_CLASSES = [
 ]
 
 
+_BY_NAME = {cls.name: cls for cls in ALL_POLICY_CLASSES}
+
+
 def default_policies() -> dict:
     """Fresh instances of all 13 §7 policies, keyed by canonical name."""
-    return {cls().name if cls is not RandomVictim else "random": cls()
-            for cls in ALL_POLICY_CLASSES}
+    return {name: cls() for name, cls in _BY_NAME.items()}
 
 
 def make_policy(name: str) -> VictimPolicy:
     """Construct one of the 13 policies from its canonical name."""
-    policies = default_policies()
-    if name not in policies:
+    if name not in _BY_NAME:
         raise KeyError(f"unknown victim policy {name!r}; "
-                       f"choose from {sorted(policies)}")
-    return policies[name]
+                       f"choose from {sorted(_BY_NAME)}")
+    return _BY_NAME[name]()

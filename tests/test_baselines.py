@@ -1,15 +1,15 @@
-"""The baseline joins must all agree with the naive reference result."""
+"""The block-nested-loop join (§8.1) run on its own, as a baseline, must
+agree with the naive reference result.
+
+``max_levels=-1`` sends the whole input of round 0 straight to the
+operator's bail-out BNLJ, so these cases exercise exactly the code the
+operator falls back to, with no hashing round in front of it.
+"""
 import pytest
 
-from repro.core.baselines import (
-    block_nested_loop_join,
-    grace_hash_join,
-    naive_hash_join,
-    simple_hash_join,
-    static_hybrid_hash_join,
-)
+from repro.core.join import DynamicHybridHashJoin, HHJConfig
 
-from tests.util import make_records, make_skewed_records
+from tests.util import make_records, make_skewed_records, naive_hash_join
 
 FRAME = 1024
 
@@ -20,11 +20,20 @@ def inputs(seed=0):
     return build, probe
 
 
+def bnlj(memory):
+    return DynamicHybridHashJoin(HHJConfig(memory_frames=memory, frame_bytes=FRAME,
+                                           max_levels=-1))
+
+
+def run_bnlj(build, probe, memory):
+    op = bnlj(memory)
+    pairs = op.run_collect(build, probe)
+    assert op.stats.bnlj_rounds == 1 and op.stats.rounds == 0
+    return pairs
+
+
 BASELINES = {
-    "grace": lambda b, p, m: grace_hash_join(b, p, m, FRAME),
-    "simple": lambda b, p, m: simple_hash_join(b, p, m, FRAME),
-    "static-hhj": lambda b, p, m: static_hybrid_hash_join(b, p, m, FRAME),
-    "bnlj": lambda b, p, m: block_nested_loop_join(b, p, m, FRAME),
+    "bnlj": run_bnlj,
 }
 
 
@@ -59,41 +68,11 @@ class TestBaselineEdges:
 
 
 class TestBaselineIOShapes:
-    def test_grace_writes_everything_once_when_no_recursion(self):
-        build, probe = inputs()
-        grace_hash_join(build, probe, 1024, FRAME, num_partitions=8)
-        stats = grace_hash_join.last_stats
-        total_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
-        # grace always writes both inputs fully (±frame fragmentation)
-        written = stats.build_bytes_spilled + stats.probe_bytes_spilled
-        assert written == total_bytes
-
-    def test_simple_spills_nothing_with_ample_memory(self):
-        build, probe = inputs()
-        simple_hash_join(build, probe, 1024, FRAME)
-        assert simple_hash_join.last_stats.total_bytes_spilled == 0
-
-    def test_simple_spills_with_tight_memory(self):
-        build, probe = inputs()
-        simple_hash_join(build, probe, 8, FRAME)
-        s = simple_hash_join.last_stats
-        assert s.total_bytes_spilled > 0
-        assert s.rounds > 1
-
-    def test_static_hhj_memory_resident_partition_spills_nothing_when_fits(self):
-        build, probe = inputs()
-        static_hybrid_hash_join(build, probe, 1024, FRAME)
-        assert static_hybrid_hash_join.last_stats.total_bytes_spilled == 0
-
-    def test_static_hhj_spills_b_partitions(self):
-        build, probe = inputs()
-        static_hybrid_hash_join(build, probe, 16, FRAME)
-        s = static_hybrid_hash_join.last_stats
-        assert s.total_bytes_spilled > 0
-
     def test_bnlj_multiple_blocks(self):
         build, probe = inputs()
-        block_nested_loop_join(build, probe, 6, FRAME)
-        s = block_nested_loop_join.last_stats
+        op = bnlj(6)
+        op.run_collect(build, probe)
+        s = op.stats
         # comparisons > probe cardinality ⇒ more than one block scanned
         assert s.comparisons > len(probe)
+        assert s.total_bytes_spilled == 0

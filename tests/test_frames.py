@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from repro.core.stats import JoinStats
 from repro.frames import (
     DEFAULT_FRAME_BYTES,
     BufferPool,
@@ -132,7 +133,7 @@ class TestPartition:
         f = p.new_frame()
         f.insert(500, "a")
         f.insert(400, "b")
-        moved = p.flush_frames([f])
+        moved = p.flush_frames([f], JoinStats(1000), "build", 0)
         assert moved == 900
         assert p.records_spilled == 2
         assert p.bytes_spilled == 900
@@ -143,7 +144,7 @@ class TestPartition:
         p = Partition(0, 1000)
         f = p.new_frame()
         f.insert(500, "a")
-        p.flush_frames([f])
+        p.flush_frames([f], JoinStats(1000), "build", 0)
         f.clear()
         f.insert(200, "b")
         assert p.total_records == 2
@@ -154,8 +155,8 @@ class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_roundtrip(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k1", "a")), (200, ("k2", "b"))], 1000)
-        sf.write_frame([(300, ("k3", "c"))], 1000)
+        sf.write_frame([(100, ("k1", "a")), (200, ("k2", "b"))])
+        sf.write_frame([(300, ("k3", "c"))])
         assert sf.frames_written == 2
         assert sf.bytes_written == 600
         assert list(sf.read_all()) == [
@@ -165,7 +166,7 @@ class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_read_all_is_repeatable(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k", "v"))], 1000)
+        sf.write_frame([(100, ("k", "v"))])
         assert list(sf.read_all()) == list(sf.read_all())
         sf.close()
 

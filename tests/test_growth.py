@@ -11,7 +11,7 @@ CAP = 1000
 
 
 def filled_partition(pid, n_frames, bytes_per_frame=800, pool=None):
-    p = Partition(pid, CAP)
+    p = Partition(pid, CAP, insertion=AppendN(8))
     for _ in range(n_frames):
         if pool is not None:
             pool.allocate(1)
@@ -72,11 +72,10 @@ class TestNGNS:
         part = filled_partition(0, 2, pool=pool)
         g = NoGrowNoSteal()
         g.initial_spill(part, pool, stats, "build", 0)
-        ins = AppendN(8)
         # fill the buffer: 900 fits
-        assert g.insert_into_spilled(part, 900, "a", pool, ins, stats, "build", 0)
+        assert g.insert_into_spilled(part, 900, "a", pool, stats, "build", 0)
         # next 900 does not fit → buffer flushes as one random write
-        assert g.insert_into_spilled(part, 900, "b", pool, ins, stats, "build", 0)
+        assert g.insert_into_spilled(part, 900, "b", pool, stats, "build", 0)
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
@@ -88,9 +87,8 @@ class TestNGNS:
         part = filled_partition(0, 3, pool=pool)
         g = NoGrowNoSteal()
         g.initial_spill(part, pool, stats, "build", 0)
-        ins = AppendN(8)
         for i in range(20):
-            g.insert_into_spilled(part, 600, i, pool, ins, stats, "build", 0)
+            g.insert_into_spilled(part, 600, i, pool, stats, "build", 0)
             assert part.num_frames == 1
 
     def test_free_memory_only_victimizes_residents(self):
@@ -122,9 +120,8 @@ class TestGS:
         part = filled_partition(0, 2, pool=pool)
         g = GrowSteal()
         g.initial_spill(part, pool, stats, "build", 0)
-        ins = AppendN(8)
         for i in range(10):
-            assert g.insert_into_spilled(part, 900, i, pool, ins, stats, "build", 0)
+            assert g.insert_into_spilled(part, 900, i, pool, stats, "build", 0)
         assert part.num_frames > 1                       # it grew
 
     def test_insert_fails_when_pool_exhausted(self):
@@ -133,8 +130,7 @@ class TestGS:
         part = filled_partition(0, 3, pool=pool)
         g = GrowSteal()
         part.spilled = True          # simulate an already-spilled, full state
-        ins = AppendN(8)
-        assert not g.insert_into_spilled(part, 900, "x", pool, ins, stats,
+        assert not g.insert_into_spilled(part, 900, "x", pool, stats,
                                          "build", 0)
 
     def test_steal_flushes_largest_spilled_sequentially(self):

@@ -6,12 +6,11 @@ spilling, multi-round recursion, role reversal, bail-out, and reload.
 """
 import pytest
 
-from repro.core.baselines import naive_hash_join
 from repro.core.join import DynamicHybridHashJoin, HHJConfig, dynamic_hash_join
 from repro.insertion import default_policies as insertion_policies
 from repro.victim import default_policies as victim_policies
 
-from tests.util import make_records, make_skewed_records
+from tests.util import make_records, make_skewed_records, naive_hash_join
 
 FRAME = 1024
 
@@ -184,6 +183,19 @@ class TestEdgeCases:
             memory_frames=8, frame_bytes=FRAME, num_partitions=4,
             min_partitions=4))
         assert sorted(pairs) == [("b", "p"), ("b7", "p7")]
+
+    def test_keys_are_canonical_once_inside(self):
+        # keys are canonicalised where records enter; frames and spill
+        # files hold only the canonical form
+        import numpy as np
+        build = [(np.int64(5), 200, "a"), (7.0, 200, "b"), (np.float64(2.0), 200, "c"),
+                 (3.5, 200, "d"), ("12", 200, "e"), (True, 200, "f")]
+        parts = DynamicHybridHashJoin(HHJConfig(
+            memory_frames=8, frame_bytes=FRAME, num_partitions=4)).build_only(build)
+        stored = {payload: key for q in parts for f in q.frames
+                  for _, (key, payload) in f.records}
+        assert {p: type(k) for p, k in stored.items()} == {
+            "a": int, "b": int, "c": int, "d": float, "e": str, "f": bool}
 
     def test_string_keys(self):
         build = [(f"k{i % 20}", 150, f"b{i}") for i in range(100)]

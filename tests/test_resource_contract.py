@@ -1,0 +1,154 @@
+"""The operator's resource contract: spill files are deleted on every exit
+path, record sizes are checked on entry for both sides, and randomised
+runs over every policy combination equal the naive join with I/O
+accounting that matches what the spill files wrote."""
+import os
+import random
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from repro.core.join import DynamicHybridHashJoin, HHJConfig
+from repro.frames.spillfile import SpillFile
+from repro.insertion import default_policies as insertion_policies
+from repro.victim import default_policies as victim_policies
+
+from tests.util import make_records, make_skewed_records, naive_hash_join
+
+FRAME = 1024
+
+
+def disk_cfg(spill_dir, **kw):
+    base = dict(memory_frames=32, frame_bytes=32 * 1024, use_disk_spill=True,
+                spill_dir=str(spill_dir))
+    base.update(kw)
+    return HHJConfig(**base)
+
+
+def failing_at(records, row):
+    """Yield ``records`` but raise when row ``row`` is reached."""
+    for i, rec in enumerate(records):
+        if i == row:
+            raise RuntimeError(f"input failed at row {row}")
+        yield rec
+
+
+@pytest.fixture(scope="module")
+def skewed_inputs():
+    build = make_skewed_records(20_000, hot_keys=50, seed=11, tag="b")
+    probe = make_records(20_000, key_range=20_000, seed=12, tag="p")
+    return build, probe
+
+
+class TestSpillCleanup:
+    def test_early_close_removes_spill_files(self, tmp_path, skewed_inputs):
+        build, probe = skewed_inputs
+        gen = DynamicHybridHashJoin(disk_cfg(tmp_path)).run(build, probe)
+        for _ in range(10):
+            next(gen)
+        assert os.listdir(tmp_path)          # the join had spilled
+        gen.close()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("side", ["build", "probe"])
+    def test_input_exception_removes_spill_files(self, tmp_path, skewed_inputs, side):
+        build, probe = skewed_inputs
+        if side == "build":
+            build = failing_at(build, 15_000)
+        else:
+            probe = failing_at(probe, 15_000)
+        with pytest.raises(RuntimeError, match="row 15000"):
+            DynamicHybridHashJoin(disk_cfg(tmp_path)).run_collect(build, probe)
+        assert os.listdir(tmp_path) == []
+
+    def test_build_only_exception_removes_spill_files(self, tmp_path, skewed_inputs):
+        op = DynamicHybridHashJoin(disk_cfg(tmp_path))
+        with pytest.raises(RuntimeError):
+            op.build_only(failing_at(skewed_inputs[0], 15_000))
+        assert os.listdir(tmp_path) == []
+
+
+class TestRecordSizes:
+    @pytest.mark.parametrize("build,probe", [
+        ([(1, 100, "b")], [(1, FRAME + 1, "p")]),   # the probe side is checked too
+        ([(1, 0, "b")], [(1, 100, "p")]),
+        ([(1, 100, "b")], [(1, 0, "p")]),
+        ([(1, -5, "b")], [(1, 100, "p")]),
+        ([(1, 100, "b")], [(1, -5, "p")]),
+        ([(1, FRAME + 1, "b")], None),              # build_only
+    ])
+    def test_size_outside_one_frame_raises(self, build, probe):
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=8, frame_bytes=FRAME,
+                                             num_partitions=4, min_partitions=4))
+        with pytest.raises(ValueError, match="fit one frame"):
+            if probe is None:
+                op.build_only(build)
+            else:
+                op.run_collect(build, probe)
+
+
+INSERTIONS = sorted(insertion_policies())
+VICTIMS = sorted(victim_policies())
+
+
+@st.composite
+def join_cases(draw):
+    memory = draw(st.integers(3, 64))
+    cfg = dict(
+        memory_frames=memory, frame_bytes=FRAME,
+        num_partitions=draw(st.none() | st.integers(2, memory)),
+        min_partitions=draw(st.integers(2, 20)),
+        insertion=draw(st.sampled_from(INSERTIONS)),
+        victim=draw(st.sampled_from(VICTIMS)),
+        growth=draw(st.sampled_from(["ng-ns", "g-s"])),
+        role_reversal=draw(st.booleans()), bailout=draw(st.booleans()),
+        in_memory_shortcut=draw(st.booleans()), reload_spilled=draw(st.booleans()),
+        use_disk_spill=draw(st.booleans()), seed=draw(st.integers(0, 3)),
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    key_range = draw(st.integers(1, 300))
+    hot_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    full_frame_share = draw(st.sampled_from([0.0, 0.05, 0.3]))
+
+    def side(n, tag):
+        records = []
+        for i in range(n):
+            k = 0 if rng.random() < hot_share else rng.randrange(key_range)
+            key = rng.choice([k, float(k), np.int64(k), str(k)])
+            size = FRAME if rng.random() < full_frame_share else rng.randint(1, FRAME)
+            records.append((key, size, (tag, i)))
+        return records
+
+    build = side(draw(st.integers(0, 300)), "b")
+    probe = side(draw(st.integers(0, 300)), "p")
+    return cfg, build, probe
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(join_cases())
+    def test_random_config_equals_naive_join(self, case):
+        cfg_kw, build, probe = case
+        files = []
+        init = SpillFile.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            files.append(self)
+
+        with tempfile.TemporaryDirectory() as spill_dir, \
+                mock.patch.object(SpillFile, "__init__", tracking_init):
+            op = DynamicHybridHashJoin(HHJConfig(spill_dir=spill_dir, **cfg_kw))
+            pairs = op.run_collect(build, probe)
+            assert os.listdir(spill_dir) == []
+        assert sorted(pairs) == sorted(naive_hash_join(build, probe))
+        s = op.stats
+        for name in ("partitions_spilled", "bnlj_rounds", "role_reversals",
+                     "frames_reloaded", "in_memory_rounds"):
+            event(f"{name} > 0: {getattr(s, name) > 0}")
+        assert sum(f.frames_written for f in files) == s.total_frames_spilled
+        assert sum(f.bytes_written for f in files) == s.total_bytes_spilled

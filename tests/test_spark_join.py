@@ -165,3 +165,15 @@ class TestSchemaHandling:
                                          num_partitions=4, min_partitions=4),
                                num_spark_partitions=2)
         assert out.count() == 0
+
+    def test_size_column_over_frame_bytes_fails(self, spark):
+        # an oversized record is an error, never clamped to one frame
+        import pandas as pd
+        a = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "sz": [100, 5000]}))
+        b = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "w": ["x", "y"]}))
+        out = dynamic_hhj_join(a, b, "k", "k",
+                               HHJConfig(memory_frames=8, frame_bytes=4096,
+                                         num_partitions=4, min_partitions=4),
+                               num_spark_partitions=2, size_column="sz")
+        with pytest.raises(Exception, match="fit one frame"):
+            out.collect()

@@ -10,7 +10,7 @@ from repro.core.partitions import (
     robust_num_partitions,
     shapiro_num_partitions,
 )
-from repro.core.split import bucket_hash, split_partition, stable_hash
+from repro.core.split import split_partition, stable_hash
 from repro.experiments.table1 import PAPER_TABLE1
 
 
@@ -60,11 +60,33 @@ class TestSplitPartition:
         with pytest.raises(ValueError):
             split_partition(1, 0)
 
-    def test_bucket_hash_differs_from_split(self):
-        vals = {k: (split_partition(k, 16, 0), bucket_hash(k, 0) % 16)
-                for k in range(1000)}
-        agree = sum(1 for a, b in vals.values() if a == b)
-        assert agree < 300   # independent-ish
+
+#: key → (stable_hash(key, 0), stable_hash(key, 99),
+#: [split_partition(key, 20, level) for level in 0, 1, 2]). Fixed values:
+#: a change to the hash or to key canonicalisation that moves any of them
+#: re-routes records and changes every recorded spill count.
+PINNED = [
+    (12345, 1392556826130112339, 8559503726909238587, [1, 3, 16]),
+    (-987654321, 12105140743925204192, 62478482159529102, [6, 19, 11]),
+    (np.int64(42), 12685478797755953348, 2297561495080169618, [5, 9, 18]),
+    (np.int32(-7), 18321862554912967283, 6469942628922545774, [1, 17, 6]),
+    (7.0, 12203283169625229286, 338660445665408356, [6, 5, 8]),
+    (3.5, 499939162892422998, 17632826407236839899, [14, 15, 8]),
+    (True, 10085541486260455347, 7198000326571374426, [13, 16, 8]),
+    ("customer", 9921888031941842643, 2750218495609911179, [8, 0, 11]),
+    ("12", 8069366797459844283, 17205017985999294213, [17, 12, 12]),
+    (b"abc", 5649509083041998794, 11063719867595211943, [13, 15, 16]),
+    ((1, "x"), 751944304721000229, 6209797349543861011, [13, 12, 17]),
+]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("key,h0,h99,splits", PINNED,
+                             ids=[repr(k) for k, *_ in PINNED])
+    def test_hash_and_split_values(self, key, h0, h99, splits):
+        assert stable_hash(key, 0) == h0
+        assert stable_hash(key, 99) == h99
+        assert [split_partition(key, 20, level) for level in range(3)] == splits
 
 
 class TestEq2:

@@ -1,6 +1,7 @@
 """Unit tests for the 13 §7 victim-selection policies."""
 import pytest
 
+from repro.core.stats import JoinStats
 from repro.frames import Partition
 from repro.victim import VictimContext, default_policies, make_policy
 from repro.victim.policies import (
@@ -200,7 +201,7 @@ class TestLargestSizeCountsMemoryOnly:
         a = part(0, [900, 900])
         b = part(1, [800])
         # a flushes everything: in-memory drops to 0
-        a.flush_frames(a.frames)
+        a.flush_frames(a.frames, JoinStats(1000), "build", 0)
         a.frames = []
         pol = LargestSize()
         assert pol.choose([a, b], ctx()).pid == 1

@@ -27,3 +27,13 @@ def make_skewed_records(n: int, *, hot_keys: int = 5, seed: int = 0,
             k = rng.randrange(hot_keys + 1, hot_keys + n)
         out.append((k, rng.randrange(lo, hi + 1), f"{tag}{i}"))
     return out
+
+
+def naive_hash_join(build, probe) -> List[Tuple[object, object]]:
+    """Reference equijoin, the test oracle: (build payload, probe payload)
+    for every key match. A plain dict, so Python's own equality decides
+    that 1, 1.0 and np.int64(1) match."""
+    table: dict = {}
+    for key, _size, payload in build:
+        table.setdefault(key, []).append(payload)
+    return [(b, payload) for key, _size, payload in probe for b in table.get(key, ())]
