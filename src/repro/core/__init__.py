@@ -1,5 +1,5 @@
 """The paper's core contribution: the Dynamic Hybrid Hash Join operator."""
-from .join import DynamicHybridHashJoin, HHJConfig, dynamic_hash_join
+from .join import DynamicHybridHashJoin, HHJConfig
 from .partitions import (
     DEFAULT_NUM_PARTITIONS,
     TABLE1_FUDGE,
@@ -13,7 +13,6 @@ from .stats import JoinStats, WriteOp
 __all__ = [
     "DynamicHybridHashJoin",
     "HHJConfig",
-    "dynamic_hash_join",
     "DEFAULT_NUM_PARTITIONS",
     "TABLE1_FUDGE",
     "eq2_disk_partitions",

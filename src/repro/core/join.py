@@ -7,9 +7,11 @@ with every design knob the paper studies made pluggable:
   (default 20; Eq. 2 with a lower bound of 20 for later rounds);
 * partition insertion (§5): any :mod:`repro.insertion` policy;
 * growth policy for spilled partitions (§6): NG-NS or G-S;
-* victim selection (§7): any of the 13 :mod:`repro.victim` policies;
-* the §8 optimizations: role reversal, bail-out to block-nested-loop
-  join, in-memory hash join shortcut, and reloading spilled partitions.
+* victim selection (§7): any of the 13 :mod:`repro.victim` policies.
+
+The §8 optimizations are fixed behaviour, as in AsterixDB: role
+reversal, bail-out to block-nested-loop join, the in-memory hash join
+shortcut and reloading spilled partitions are always on.
 
 Records are ``(key, size_bytes, payload)`` triples. In *stats-only* use
 (the experiment harnesses) payloads may be ``None``; the operator's
@@ -38,6 +40,12 @@ from .stats import JoinStats, Phase
 Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
 
+#: §8.1: a later round whose build input is not at least this share smaller
+#: than its parent's stops hashing and bails out to BNLJ.
+BAILOUT_SHRINK = 0.2
+#: Recursion guard: rounds deeper than this go straight to BNLJ.
+MAX_LEVELS = 30
+
 
 @dataclass
 class HHJConfig:
@@ -49,17 +57,9 @@ class HHJConfig:
     insertion: str = "append(8)"
     victim: str = "largest-size"
     growth: str = "ng-ns"
-    fudge: float = TABLE1_FUDGE
     min_partitions: int = 20                 # §4 lower bound for later rounds
-    role_reversal: bool = True               # §8.2
-    bailout: bool = True                     # §8.1
-    bailout_threshold: float = 0.2           # <20% shrink → BNLJ
-    in_memory_shortcut: bool = True          # §8.3
-    reload_spilled: bool = True              # §8.5
-    max_levels: int = 30
     use_disk_spill: bool = False             # real tempfiles (Spark executors)
     spill_dir: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.memory_frames < 3:
@@ -96,7 +96,7 @@ class DynamicHybridHashJoin:
         pol = make_insertion(ins)
         if isinstance(pol, RandomPct):
             # distinct deterministic stream per partition
-            pol.rng.seed(self.cfg.seed * 1000003 + pid)
+            pol.rng.seed(pid)
         return pol
 
     def _new_partitions(self, p: int) -> List[Partition]:
@@ -142,69 +142,72 @@ class DynamicHybridHashJoin:
         write trace covers the whole build phase, then returns the
         partitions for inspection.
         """
-        cfg = self.cfg
-        p = cfg.num_partitions or robust_num_partitions(cfg.memory_frames)
-        p = min(p, cfg.memory_frames)
-        partitions = self._new_partitions(p)
-        pool = BufferPool(cfg.memory_frames)
-        try:
-            for key, size, payload in self._admit(build):
-                self._insert(key, size, payload, partitions, pool, p, 0, "build")
-            self._flush_spilled_tails(partitions, pool, "build", 0)
-        except BaseException:
-            for q in partitions:
-                q.close()
-            raise
+        partitions, _pool, _frames = self._build(self._admit(build), 0, None)
         self._collect_search_stats(partitions)
         return partitions
 
     # -- one round -------------------------------------------------------
-    def _round(self, build: Iterator[Record], probe: Iterator[Record],
-               level: int, build_frames: Optional[int],
-               parent_build_frames: Optional[int], swapped: bool) -> Iterator[Pair]:
+    def _build(self, build: Iterator[Record], level: int,
+               build_frames: Optional[int]) -> Tuple[List[Partition], BufferPool, int]:
+        """One round's build phase: choose P, partition ``build`` within
+        the frame budget, flush the spilled partitions' tails.
+
+        Returns the partitions, the pool holding their frames and the
+        build input's size in frames. Round 0 records its resident frames
+        and bytes in the stats (the paper's end-of-build frame fullness).
+        On an exception the partitions are closed.
+        """
         cfg = self.cfg
-        if level > cfg.max_levels:
-            yield from self._bnlj(build, probe, swapped)
-            return
-
-        # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
-        if (cfg.bailout and level > 0 and parent_build_frames is not None
-                and build_frames is not None and parent_build_frames > 0
-                and build_frames >= (1.0 - cfg.bailout_threshold) * parent_build_frames):
-            yield from self._bnlj(build, probe, swapped)
-            return
-
-        # §8.3 in-memory shortcut: known-small build skips partitioning.
-        if (cfg.in_memory_shortcut and level > 0 and build_frames is not None
-                and build_frames * cfg.fudge <= cfg.memory_frames):
-            yield from self._in_memory_join(build, probe, swapped)
-            return
-
-        stats = self.stats
-        stats.rounds += 1
         if build_frames is not None:
             p = robust_num_partitions(cfg.memory_frames, build_frames,
-                                      cfg.fudge, cfg.min_partitions)
+                                      TABLE1_FUDGE, cfg.min_partitions)
         else:
             p = cfg.num_partitions or robust_num_partitions(cfg.memory_frames)
         p = max(2, min(p, cfg.memory_frames))
 
         partitions = self._new_partitions(p)
-        probe_files: Dict[int, SpillFile] = {}
         pool = BufferPool(cfg.memory_frames)
         try:
-            # ---------------- build phase ----------------
             build_bytes = 0
             for key, size, payload in build:
                 build_bytes += size
                 self._insert(key, size, payload, partitions, pool, p, level, "build")
-            this_build_frames = max(1, -(-build_bytes // cfg.frame_bytes))
-
             self._flush_spilled_tails(partitions, pool, "build", level)
+        except BaseException:
+            for q in partitions:
+                q.close()
+            raise
+        if level == 0:
+            self.stats.resident_frames = sum(q.num_frames for q in partitions)
+            self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
+        return partitions, pool, max(1, -(-build_bytes // cfg.frame_bytes))
 
+    def _round(self, build: Iterator[Record], probe: Iterator[Record],
+               level: int, build_frames: Optional[int],
+               parent_build_frames: Optional[int], swapped: bool) -> Iterator[Pair]:
+        cfg = self.cfg
+        if level > MAX_LEVELS:
+            yield from self._bnlj(build, probe, swapped)
+            return
+
+        # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
+        if level > 0 and build_frames >= (1.0 - BAILOUT_SHRINK) * parent_build_frames:
+            yield from self._bnlj(build, probe, swapped)
+            return
+
+        # §8.3 in-memory shortcut: known-small build skips partitioning.
+        if level > 0 and build_frames * TABLE1_FUDGE <= cfg.memory_frames:
+            yield from self._in_memory_join(build, probe, swapped)
+            return
+
+        stats = self.stats
+        stats.rounds += 1
+        partitions, pool, this_build_frames = self._build(build, level, build_frames)
+        p = len(partitions)
+        probe_files: Dict[int, SpillFile] = {}
+        try:
             # §8.5 reload spilled partitions that fit the leftover memory.
-            if cfg.reload_spilled:
-                self._reload_spilled(partitions, pool, level)
+            self._reload_spilled(partitions, pool, level)
 
             # Make room for one probe output buffer per spilled partition.
             self._reserve_probe_buffers(partitions, pool, level)
@@ -253,7 +256,8 @@ class DynamicHybridHashJoin:
                     child_build = self._spill_records(bfile)
                     child_probe = self._spill_records(pfile)
                     child_bf, child_swapped = b_frames, swapped
-                    if cfg.role_reversal and p_frames < b_frames:
+                    # §8.2 role reversal: the smaller side builds.
+                    if p_frames < b_frames:
                         child_build, child_probe = child_probe, child_build
                         child_bf, child_swapped = p_frames, not swapped
                         stats.role_reversals += 1
@@ -339,7 +343,6 @@ class DynamicHybridHashJoin:
     def _reload_spilled(self, partitions: List[Partition], pool: BufferPool,
                         level: int) -> None:
         """§8.5: pull back spilled partitions that now fit in free memory."""
-        cfg = self.cfg
         reloadable = sorted(
             (q for q in partitions
              if q.spilled and q.spill_file and q.spill_file.frames_written > 0),
@@ -347,7 +350,7 @@ class DynamicHybridHashJoin:
         )
         for q in reloadable:
             need = q.spill_file.frames_written
-            if need * cfg.fudge > pool.free:
+            if need * TABLE1_FUDGE > pool.free:
                 continue
             records = list(q.spill_file.read_all())
             self.stats.frames_read += need
@@ -456,10 +459,3 @@ class DynamicHybridHashJoin:
             self.stats.comparisons += yield from self._probe_table(
                 block, probe_cache, swapped)
 
-
-def dynamic_hash_join(build: Iterable[Record], probe: Iterable[Record],
-                      cfg: HHJConfig) -> Tuple[List[Pair], JoinStats]:
-    """Convenience wrapper: run one join, return (pairs, stats)."""
-    op = DynamicHybridHashJoin(cfg)
-    pairs = op.run_collect(build, probe)
-    return pairs, op.stats

@@ -66,6 +66,10 @@ class JoinStats:
     in_memory_rounds: int = 0
     role_reversals: int = 0
 
+    # memory at the end of the round-0 build phase
+    resident_frames: int = 0
+    resident_bytes: int = 0
+
     write_trace: List[WriteOp] = field(default_factory=list)
 
     # -- recording -------------------------------------------------------
@@ -91,6 +95,14 @@ class JoinStats:
         return self.build_frames_spilled + self.probe_frames_spilled
 
     @property
+    def avg_frame_fullness(self) -> float:
+        """Mean fullness of the frames resident at the end of the round-0
+        build (paper §5 metric); 0.0 when none are."""
+        if not self.resident_frames:
+            return 0.0
+        return self.resident_bytes / (self.resident_frames * self.frame_bytes)
+
+    @property
     def sequential_write_ops(self) -> int:
         return sum(1 for w in self.write_trace if w.sequential)
 
@@ -105,25 +117,3 @@ class JoinStats:
     @property
     def random_frames_written(self) -> int:
         return sum(w.n_frames for w in self.write_trace if not w.sequential)
-
-    def summary(self) -> dict:
-        """Flat dict for experiment tables."""
-        return {
-            "build_bytes_spilled": self.build_bytes_spilled,
-            "probe_bytes_spilled": self.probe_bytes_spilled,
-            "total_bytes_spilled": self.total_bytes_spilled,
-            "build_frames_spilled": self.build_frames_spilled,
-            "probe_frames_spilled": self.probe_frames_spilled,
-            "partitions_spilled": self.partitions_spilled,
-            "frames_searched": self.frames_searched,
-            "records_processed": self.records_processed,
-            "seq_write_ops": self.sequential_write_ops,
-            "rand_write_ops": self.random_write_ops,
-            "seq_frames_written": self.sequential_frames_written,
-            "rand_frames_written": self.random_frames_written,
-            "frames_read": self.frames_read,
-            "rounds": self.rounds,
-            "bnlj_rounds": self.bnlj_rounds,
-            "in_memory_rounds": self.in_memory_rounds,
-            "role_reversals": self.role_reversals,
-        }

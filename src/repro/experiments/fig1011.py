@@ -44,12 +44,8 @@ def _variable_size_experiment(dataset: str, pcts_large: Sequence[float],
                             num_partitions=20, insertion=alg)
             op = DynamicHybridHashJoin(cfg)
             n_out = sum(1 for _ in op.run(build, probe))
-            fullness_op = DynamicHybridHashJoin(cfg)
-            parts = fullness_op.build_only(build)
-            frames = [f for q in parts for f in q.frames]
-            fullness = sum(f.used for f in frames) / (len(frames) * frame_bytes)
             row = {"dataset": dataset, "pct_large": pct, "algorithm": alg,
-                   "avg_frame_fullness": fullness,
+                   "avg_frame_fullness": op.stats.avg_frame_fullness,
                    "frames_searched": op.stats.frames_searched,
                    "out_pairs": n_out}
             for dev_name, dev in DEVICES.items():

@@ -27,12 +27,9 @@ def _run_insertion(records, factory, frame_bytes: int = FRAME_BYTES,
     cfg = HHJConfig(memory_frames=int(ample), frame_bytes=frame_bytes,
                     num_partitions=num_partitions, insertion=factory)
     op = DynamicHybridHashJoin(cfg)
-    parts = op.build_only(records)
+    op.build_only(records)
     assert op.stats.partitions_spilled == 0, "sweep must not spill"
-    frames = [f for q in parts for f in q.frames]
-    fullness = (sum(f.used for f in frames)
-                / (len(frames) * frame_bytes)) if frames else 0.0
-    return fullness, op.stats.frames_searched
+    return op.stats.avg_frame_fullness, op.stats.frames_searched
 
 
 def fig6_append(ks: Sequence[int] = tuple(range(1, 11)),

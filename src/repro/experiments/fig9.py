@@ -38,13 +38,7 @@ def fig9(n: int = 30_000, frame_bytes: int = FRAME_BYTES,
         op = DynamicHybridHashJoin(cfg)
         # drain the join; output pairs themselves are not the metric
         n_out = sum(1 for _ in op.run(build, probe))
-        # fullness comes from a build-only rerun (the full run tears its
-        # partitions down while streaming)
-        fullness_op = DynamicHybridHashJoin(cfg)
-        parts = fullness_op.build_only(list(build))
-        frames = [f for q in parts for f in q.frames]
-        fullness = sum(f.used for f in frames) / (len(frames) * frame_bytes)
-        row = {"algorithm": alg, "avg_frame_fullness": fullness,
+        row = {"algorithm": alg, "avg_frame_fullness": op.stats.avg_frame_fullness,
                "frames_searched": op.stats.frames_searched,
                "out_pairs": n_out}
         for dev_name, dev in DEVICES.items():

@@ -35,11 +35,6 @@ class Frame:
         """Bytes still available in this frame."""
         return self.capacity - self.used
 
-    @property
-    def fullness(self) -> float:
-        """Fraction of the frame's capacity occupied by records (0..1)."""
-        return self.used / self.capacity
-
     def fits(self, size: int) -> bool:
         """True if a record of ``size`` bytes fits in the remaining space."""
         return size <= self.free

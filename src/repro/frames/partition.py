@@ -53,21 +53,6 @@ class Partition:
         """Total free space inside allocated frames (paper's Least-Fragmentation metric)."""
         return sum(f.free for f in self.frames)
 
-    @property
-    def total_records(self) -> int:
-        """Records routed to this partition so far (memory + spilled)."""
-        return self.in_memory_records + self.records_spilled
-
-    @property
-    def total_bytes(self) -> int:
-        return self.in_memory_bytes + self.bytes_spilled
-
-    def avg_frame_fullness(self) -> float:
-        """Mean fullness of this partition's allocated in-memory frames."""
-        if not self.frames:
-            return 0.0
-        return sum(f.fullness for f in self.frames) / len(self.frames)
-
     # -- frame management ------------------------------------------------
     def new_frame(self) -> Frame:
         """Append a freshly allocated frame (caller must hold a pool grant)."""

@@ -1,12 +1,14 @@
 """The block-nested-loop join (§8.1) run on its own, as a baseline, must
 agree with the naive reference result.
 
-``max_levels=-1`` sends the whole input of round 0 straight to the
-operator's bail-out BNLJ, so these cases exercise exactly the code the
-operator falls back to, with no hashing round in front of it.
+Setting the recursion guard ``MAX_LEVELS`` to -1 sends the whole input
+of round 0 straight to the operator's bail-out BNLJ, so these cases
+exercise exactly the code the operator falls back to, with no hashing
+round in front of it.
 """
 import pytest
 
+import repro.core.join
 from repro.core.join import DynamicHybridHashJoin, HHJConfig
 
 from tests.util import make_records, make_skewed_records, naive_hash_join
@@ -20,9 +22,13 @@ def inputs(seed=0):
     return build, probe
 
 
+@pytest.fixture(autouse=True)
+def bnlj_only(monkeypatch):
+    monkeypatch.setattr(repro.core.join, "MAX_LEVELS", -1)
+
+
 def bnlj(memory):
-    return DynamicHybridHashJoin(HHJConfig(memory_frames=memory, frame_bytes=FRAME,
-                                           max_levels=-1))
+    return DynamicHybridHashJoin(HHJConfig(memory_frames=memory, frame_bytes=FRAME))
 
 
 def run_bnlj(build, probe, memory):

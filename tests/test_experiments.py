@@ -4,14 +4,29 @@ orderings and crossovers are not)."""
 import pandas as pd
 import pytest
 
+from repro.core.join import DynamicHybridHashJoin
 from repro.experiments.fig12 import fig12
 from repro.experiments.fig13 import fig13a, fig13b, victim_experiment
 from repro.experiments.fig345 import fig3, fig4, fig5, lower_bound_summary
 from repro.experiments.fig678 import fig6_append, fig7_first_fit, fig8_random
-from repro.experiments.fig9 import fig9
+from repro.experiments.fig9 import ALGORITHMS, fig9
 from repro.experiments.fig1011 import fig10, fig11
 from repro.experiments.runner import avg_record_bytes, records_for_ratio
 from repro.experiments.table1 import PAPER_TABLE1, table1
+
+
+@pytest.fixture
+def operators(monkeypatch):
+    """Every DynamicHybridHashJoin constructed while the test runs."""
+    made = []
+    init = DynamicHybridHashJoin.__init__
+
+    def counting_init(self, cfg):
+        init(self, cfg)
+        made.append(self)
+
+    monkeypatch.setattr(DynamicHybridHashJoin, "__init__", counting_init)
+    return made
 
 
 class TestTable1:
@@ -116,6 +131,11 @@ class TestFig9:
         assert (df["time_hdd_s"] >= df["time_ssd_s"]).all()
         assert (df["time_hdd_s"] >= df["time_ebs_s"]).all()
 
+    def test_one_operator_per_algorithm(self, operators):
+        # fullness comes from the run's own stats, not a second build
+        fig9(n=500)
+        assert len(operators) == len(ALGORITHMS)
+
 
 class TestFig1011:
     @pytest.fixture(scope="class")
@@ -130,6 +150,10 @@ class TestFig1011:
         """Paper Fig 11a: fullness ≈60% when 90% of records are large."""
         v = df11[df11.pct_large == 0.9]["avg_frame_fullness"].mean()
         assert 0.5 < v < 0.75
+
+    def test_one_operator_per_algorithm_and_pct(self, operators):
+        fig10(n_bytes_target=1 << 20, pcts_large=(0.1, 0.9))
+        assert len(operators) == len(ALGORITHMS) * 2
 
     def test_3large_fuller_than_1large(self):
         a = fig10(n_bytes_target=4 << 20, pcts_large=(0.9,))

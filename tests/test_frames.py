@@ -23,7 +23,6 @@ class TestFrame:
         f = Frame(cap)
         assert f.used == 0
         assert f.free == cap
-        assert f.fullness == 0.0
         assert len(f) == 0
 
     @pytest.mark.parametrize("cap", [0, -1, -32768])
@@ -45,7 +44,6 @@ class TestFrame:
         f.insert(400, "c")
         assert f.used == 1000
         assert f.free == 0
-        assert f.fullness == 1.0
         assert len(f) == 3
 
     def test_fits_boundary(self):
@@ -114,7 +112,6 @@ class TestPartition:
         assert p.in_memory_bytes == 0
         assert p.in_memory_records == 0
         assert not p.spilled
-        assert p.avg_frame_fullness() == 0.0
 
     def test_new_frame_and_counters(self):
         p = Partition(0, 1000)
@@ -126,7 +123,6 @@ class TestPartition:
         assert p.in_memory_bytes == 900
         assert p.in_memory_records == 2
         assert p.fragmentation_bytes == (1000 - 600) + (1000 - 300)
-        assert p.avg_frame_fullness() == pytest.approx((0.6 + 0.3) / 2)
 
     def test_flush_frames_moves_to_spill_file(self):
         p = Partition(0, 1000)
@@ -147,8 +143,8 @@ class TestPartition:
         p.flush_frames([f], JoinStats(1000), "build", 0)
         f.clear()
         f.insert(200, "b")
-        assert p.total_records == 2
-        assert p.total_bytes == 700
+        assert p.in_memory_records + p.records_spilled == 2
+        assert p.in_memory_bytes + p.bytes_spilled == 700
 
 
 class TestSpillFiles:

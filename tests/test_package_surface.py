@@ -2,12 +2,14 @@
 exports in ``__all__`` resolves — so a deleted function left in an
 ``__init__`` or an import cycle that only bites one import order fails
 here, not in a user's first import."""
+import dataclasses
 import os
 import pkgutil
 import subprocess
 import sys
 
 import repro
+from repro.core.join import HHJConfig
 
 MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
 
@@ -36,3 +38,10 @@ def test_each_module_imports_alone_and_exports_resolve():
     proc = subprocess.run([sys.executable, "-c", CHECK, *MODULES], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_hhj_config_has_exactly_its_nine_knobs():
+    # a new knob must be added here, in plain view
+    assert [f.name for f in dataclasses.fields(HHJConfig)] == [
+        "memory_frames", "frame_bytes", "num_partitions", "insertion", "victim",
+        "growth", "min_partitions", "use_disk_spill", "spill_dir"]

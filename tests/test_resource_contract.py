@@ -105,9 +105,7 @@ def join_cases(draw):
         insertion=draw(st.sampled_from(INSERTIONS)),
         victim=draw(st.sampled_from(VICTIMS)),
         growth=draw(st.sampled_from(["ng-ns", "g-s"])),
-        role_reversal=draw(st.booleans()), bailout=draw(st.booleans()),
-        in_memory_shortcut=draw(st.booleans()), reload_spilled=draw(st.booleans()),
-        use_disk_spill=draw(st.booleans()), seed=draw(st.integers(0, 3)),
+        use_disk_spill=draw(st.booleans()),
     )
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     key_range = draw(st.integers(1, 300))
@@ -152,3 +150,9 @@ class TestDifferential:
             event(f"{name} > 0: {getattr(s, name) > 0}")
         assert sum(f.frames_written for f in files) == s.total_frames_spilled
         assert sum(f.bytes_written for f in files) == s.total_bytes_spilled
+        # the run records its end-of-build memory where build_only stops
+        built = DynamicHybridHashJoin(HHJConfig(**cfg_kw))
+        for q in built.build_only(build):
+            q.close()
+        assert ((built.stats.resident_frames, built.stats.resident_bytes)
+                == (s.resident_frames, s.resident_bytes))
