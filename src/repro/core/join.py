@@ -1,7 +1,7 @@
 """The Dynamic Hybrid Hash Join operator (paper §2.3, §5–§8).
 
-A faithful record-at-a-time implementation of AsterixDB's Dynamic HHJ
-with every design knob the paper studies made pluggable:
+A faithful implementation of AsterixDB's Dynamic HHJ with every design
+knob the paper studies made pluggable:
 
 * number of partitions (§4): explicit, or the paper's robust policy
   (default 20; Eq. 2 with a lower bound of 20 for later rounds);
@@ -13,6 +13,11 @@ The §8 optimizations are fixed behaviour, as in AsterixDB: role
 reversal, bail-out to block-nested-loop join, the in-memory hash join
 shortcut and reloading spilled partitions are always on.
 
+Each round reads its input a batch at a time (``BATCH_RECORDS``, the
+operator's input buffer, like AsterixDB's input frame) and routes each
+batch with one ``split_partition`` call; insertion, spilling and probing
+stay record at a time, in input order.
+
 Records are ``(key, size_bytes, payload)`` triples. In *stats-only* use
 (the experiment harnesses) payloads may be ``None``; the operator's
 control flow depends only on keys and sizes, so measurements are
@@ -22,6 +27,8 @@ actual write trace, which the storage model replays into device times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from ..frames.partition import Partition
@@ -45,6 +52,19 @@ Pair = Tuple[Any, Any]
 BAILOUT_SHRINK = 0.2
 #: Recursion guard: rounds deeper than this go straight to BNLJ.
 MAX_LEVELS = 30
+#: Records a round reads and routes per ``split_partition`` call: the
+#: operator's input buffer (AsterixDB's input frame), outside the frame
+#: budget.
+BATCH_RECORDS = 4096
+
+_key = itemgetter(0)
+
+
+def _batches(records: Iterable[Record]) -> Iterator[List[Record]]:
+    """``records`` in lists of up to ``BATCH_RECORDS``, in order."""
+    it = iter(records)
+    while batch := list(islice(it, BATCH_RECORDS)):
+        yield batch
 
 
 @dataclass
@@ -169,9 +189,13 @@ class DynamicHybridHashJoin:
         pool = BufferPool(cfg.memory_frames)
         try:
             build_bytes = 0
-            for key, size, payload in build:
-                build_bytes += size
-                self._insert(key, size, payload, partitions, pool, p, level, "build")
+            for batch in _batches(build):
+                self.stats.records_processed += len(batch)
+                pids = split_partition(list(map(_key, batch)), p, level)
+                for (key, size, payload), pid in zip(batch, pids):
+                    build_bytes += size
+                    self._insert(size, (key, payload), partitions[pid], partitions,
+                                 pool, level, "build")
             self._flush_spilled_tails(partitions, pool, "build", level)
         except BaseException:
             for q in partitions:
@@ -224,19 +248,20 @@ class DynamicHybridHashJoin:
                 if probe_bufs[q.pid] is None:
                     pool.allocate(1)
                     probe_bufs[q.pid] = q.new_frame()
-            for key, size, payload in probe:
-                stats.records_processed += 1
-                pid = split_partition(key, p, level)
-                if pid in probe_files:
-                    buf = probe_bufs[pid]
-                    if not buf.fits(size):
-                        probe_files[pid].write_frames([buf], stats, "probe", pid, level)
-                        buf.clear()
-                    buf.insert(size, (key, payload))
-                else:
-                    stats.hash_probes += 1
-                    for bpayload in table.get(key, ()):
-                        yield (bpayload, payload) if not swapped else (payload, bpayload)
+            for batch in _batches(probe):
+                stats.records_processed += len(batch)
+                pids = split_partition(list(map(_key, batch)), p, level)
+                for (key, size, payload), pid in zip(batch, pids):
+                    if pid in probe_files:
+                        buf = probe_bufs[pid]
+                        if not buf.fits(size):
+                            probe_files[pid].write_frames([buf], stats, "probe", pid, level)
+                            buf.clear()
+                        buf.insert(size, (key, payload))
+                    else:
+                        stats.hash_probes += 1
+                        for bpayload in table.get(key, ()):
+                            yield (bpayload, payload) if not swapped else (payload, bpayload)
             for pid, buf in probe_bufs.items():
                 if buf.used > 0:
                     probe_files[pid].write_frames([buf], stats, "probe", pid, level)
@@ -286,12 +311,11 @@ class DynamicHybridHashJoin:
             yield key, size, payload
 
     # -- record insertion (build side) -----------------------------------
-    def _insert(self, key: Any, size: int, payload: Any,
-                partitions: List[Partition], pool: BufferPool, p: int,
+    def _insert(self, size: int, stored: Tuple[Any, Any], part: Partition,
+                partitions: List[Partition], pool: BufferPool,
                 level: int, phase: Phase) -> None:
-        self.stats.records_processed += 1
-        part = partitions[split_partition(key, p, level)]
-        stored = (key, payload)  # spill files must retain the key for re-partitioning
+        """Insert one build record, ``stored`` = (key, payload): spill files
+        must retain the key for re-partitioning."""
         if not part.spilled:
             if part.insert(size, stored):
                 return
@@ -299,7 +323,7 @@ class DynamicHybridHashJoin:
                 if not self._free_memory(partitions, part.pid, pool, phase, level):
                     raise MemoryError(
                         "cannot free memory: all partitions spilled and pool full "
-                        f"(budget={pool.budget}, P={p})"
+                        f"(budget={pool.budget}, P={len(partitions)})"
                     )
             if not part.spilled:
                 pool.allocate(1)

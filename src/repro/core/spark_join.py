@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -85,31 +86,31 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     p = (probe.where(F.col(probe_key).isNotNull())
               .withColumn(_PART_COL, F.pmod(F.xxhash64(F.col(probe_key)), F.lit(n))))
 
-    bkey_idx = bnames.index(build_key)
-    pkey_idx = [f.name for f in probe.schema.fields].index(probe_key)
     # capture plain config values; HHJConfig is a simple dataclass and
     # pickles fine, but force disk spill inside executors regardless
     cfg_dict = dict(cfg.__dict__)
     cfg_dict["use_disk_spill"] = True
 
+    def records(pdf: pd.DataFrame, key: str):
+        """(key, size, row position) records of one side: the operator
+        carries row positions, not rows."""
+        frame = pd.DataFrame({"key": pdf[key], "size": _estimate_sizes(pdf, size_column),
+                              "row": np.arange(len(pdf))})
+        return frame.itertuples(index=False, name=None)
+
+    def take(pdf: pd.DataFrame, names: list, rows: np.ndarray) -> dict:
+        return {name: pdf.iloc[:, i].array.take(rows) for i, name in enumerate(names)}
+
     def join_pair(bpdf: pd.DataFrame, ppdf: pd.DataFrame) -> pd.DataFrame:
-        out_cols = bnames + pnames
         if len(bpdf) == 0 or len(ppdf) == 0:
-            return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols})
+            return pd.DataFrame({c: pd.Series(dtype="object") for c in bnames + pnames})
         bpdf = bpdf.drop(columns=[_PART_COL])
         ppdf = ppdf.drop(columns=[_PART_COL])
-        bsizes = _estimate_sizes(bpdf, size_column)
-        psizes = _estimate_sizes(ppdf, size_column)
-        brows = list(bpdf.itertuples(index=False, name=None))
-        prows = list(ppdf.itertuples(index=False, name=None))
-        build_recs = ((row[bkey_idx], bsizes[i], row) for i, row in enumerate(brows))
-        probe_recs = ((row[pkey_idx], psizes[i], row) for i, row in enumerate(prows))
         op = DynamicHybridHashJoin(HHJConfig(**cfg_dict))
-        pairs = op.run_collect(build_recs, probe_recs)
-        if not pairs:
-            return pd.DataFrame({c: pd.Series(dtype="object") for c in out_cols})
-        data = [brow + prow for brow, prow in pairs]
-        return pd.DataFrame(data, columns=out_cols)
+        pairs = op.run_collect(records(bpdf, build_key), records(ppdf, probe_key))
+        rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        return pd.DataFrame({**take(bpdf, bnames, rows[:, 0]),
+                             **take(ppdf, pnames, rows[:, 1])})
 
     return (b.groupBy(_PART_COL)
              .cogroup(p.groupBy(_PART_COL))

@@ -4,9 +4,13 @@ The operator must produce *exactly* the naive equijoin output under every
 combination of policies and memory budgets — including budgets that force
 spilling, multi-round recursion, role reversal, bail-out, and reload.
 """
+import math
+import os
+
 import pytest
 
-from repro.core.join import DynamicHybridHashJoin, HHJConfig
+import repro.core.join
+from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
 from repro.insertion import default_policies as insertion_policies
 from repro.victim import default_policies as victim_policies
 
@@ -243,3 +247,83 @@ class TestStatsAccounting:
                 assert q.in_memory_bytes == 0      # nothing left unflushed
         spilled_bytes = sum(q.bytes_spilled for q in parts)
         assert spilled_bytes == op.stats.build_bytes_spilled
+
+
+class TestPinnedCounters:
+    """The paper's metrics of two seeded runs, pinned to exact values.
+
+    Wall-clock work on the per-record path (batching, hashing, the
+    insertion search) must not move any of them: a second search of a
+    partition's frames per record, for example, raises ``frames_searched``
+    while the join result stays correct. Both runs are larger than one
+    input batch, so batch boundaries fall inside every phase.
+    """
+
+    @staticmethod
+    def counters(stats):
+        return dict(frames_searched=stats.frames_searched,
+                    records_processed=stats.records_processed,
+                    hash_probes=stats.hash_probes,
+                    total_bytes_spilled=stats.total_bytes_spilled,
+                    sequential_write_ops=stats.sequential_write_ops,
+                    random_write_ops=stats.random_write_ops,
+                    frames_read=stats.frames_read)
+
+    def test_in_memory_run(self):
+        build = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=21, tag="b")
+        probe = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=22, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=4096, num_partitions=20)
+        assert self.counters(stats) == dict(
+            frames_searched=25220, records_processed=20000, hash_probes=10000,
+            total_bytes_spilled=0, sequential_write_ops=0, random_write_ops=0,
+            frames_read=0)
+
+    def test_disk_spilling_run_with_recursion(self, tmp_path):
+        build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")
+        probe = make_records(12_000, key_range=12_000, lo=100, hi=300, seed=24, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=12, num_partitions=8,
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert self.counters(stats) == dict(
+            frames_searched=10980, records_processed=87162, hash_probes=15537,
+            total_bytes_spilled=12648529, sequential_write_ops=235,
+            random_write_ops=13029, frames_read=14075)
+        assert (stats.rounds, stats.bnlj_rounds, stats.role_reversals) == (115, 1, 124)
+        assert os.listdir(tmp_path) == []
+
+
+class TestSplitCalls:
+    """The operator routes a batch per ``split_partition`` call, and the
+    call carries the round's level: a tracer that wraps the function sees
+    the recursion depth and one call per batch."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        split = repro.core.join.split_partition
+
+        def recorder(keys, num_partitions, level):
+            seen.append((len(keys), level))
+            return split(keys, num_partitions, level)
+
+        monkeypatch.setattr(repro.core.join, "split_partition", recorder)
+        return seen
+
+    def test_in_memory_run_makes_one_call_per_batch(self, calls):
+        n = 2 * BATCH_RECORDS + 5
+        build = make_records(n, key_range=3 * n, lo=100, hi=300, seed=31, tag="b")
+        probe = make_records(n, key_range=3 * n, lo=100, hi=300, seed=32, tag="p")
+        run_and_compare(build, probe, memory_frames=4096, num_partitions=20)
+        per_side = [BATCH_RECORDS, BATCH_RECORDS, 5]
+        assert calls == [(k, 0) for k in per_side + per_side]
+
+    def test_recursive_run_reports_its_levels(self, calls, tmp_path):
+        build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")
+        probe = make_records(12_000, key_range=12_000, lo=100, hi=300, seed=24, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=12, num_partitions=8,
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert max(level for _, level in calls) >= 2
+        assert all(0 < k <= BATCH_RECORDS for k, _ in calls)
+        # at most one call per batch: each hashing round reads two sides,
+        # and only a side's last batch may be short
+        routed = sum(k for k, _ in calls)
+        assert len(calls) <= 2 * stats.rounds + math.ceil(routed / BATCH_RECORDS)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.core.join import DynamicHybridHashJoin, HHJConfig
+import repro.core.join
+from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
 from repro.frames.spillfile import SpillFile
 from repro.insertion import default_policies as insertion_policies
 from repro.victim import default_policies as victim_policies
@@ -65,6 +66,27 @@ class TestSpillCleanup:
             DynamicHybridHashJoin(disk_cfg(tmp_path)).run_collect(build, probe)
         assert os.listdir(tmp_path) == []
 
+    def test_close_inside_a_batch_removes_spill_files(self, tmp_path, skewed_inputs):
+        build, probe = skewed_inputs
+        read = 0
+
+        def counted(records):
+            nonlocal read
+            for rec in records:
+                read += 1
+                yield rec
+
+        gen = DynamicHybridHashJoin(disk_cfg(tmp_path)).run(build, counted(probe))
+        taken = 0
+        while read <= BATCH_RECORDS:        # stop at a pair from the second batch
+            next(gen)
+            taken += 1
+        assert read == 2 * BATCH_RECORDS     # that batch was read whole
+        assert taken < read - BATCH_RECORDS  # ... and is only partly joined
+        assert os.listdir(tmp_path)
+        gen.close()
+        assert os.listdir(tmp_path) == []
+
     def test_build_only_exception_removes_spill_files(self, tmp_path, skewed_inputs):
         op = DynamicHybridHashJoin(disk_cfg(tmp_path))
         with pytest.raises(RuntimeError):
@@ -89,6 +111,21 @@ class TestRecordSizes:
                 op.build_only(build)
             else:
                 op.run_collect(build, probe)
+
+
+    @pytest.mark.parametrize("side", ["build", "probe"])
+    def test_size_past_the_first_batch_raises_and_cleans_up(self, tmp_path,
+                                                            skewed_inputs, side):
+        build, probe = (list(r) for r in skewed_inputs)
+        bad = build if side == "build" else probe
+        row = BATCH_RECORDS + 904
+        key, _size, payload = bad[row]
+        bad[row] = (key, 32 * 1024 + 1, payload)
+        op = DynamicHybridHashJoin(disk_cfg(tmp_path))
+        with pytest.raises(ValueError, match="fit one frame"):
+            op.run_collect(build, probe)
+        assert op.stats.partitions_spilled > 0   # the join had spilled
+        assert os.listdir(tmp_path) == []
 
 
 INSERTIONS = sorted(insertion_policies())
@@ -128,8 +165,9 @@ def join_cases(draw):
 
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(join_cases())
-    def test_random_config_equals_naive_join(self, case):
+    @given(join_cases(), st.sampled_from([1, 2, 7, 64, BATCH_RECORDS]))
+    def test_random_config_equals_naive_join(self, case, batch_records):
+        # small input batches put batch boundaries inside every phase
         cfg_kw, build, probe = case
         files = []
         init = SpillFile.__init__
@@ -139,7 +177,8 @@ class TestDifferential:
             files.append(self)
 
         with tempfile.TemporaryDirectory() as spill_dir, \
-                mock.patch.object(SpillFile, "__init__", tracking_init):
+                mock.patch.object(SpillFile, "__init__", tracking_init), \
+                mock.patch.object(repro.core.join, "BATCH_RECORDS", batch_records):
             op = DynamicHybridHashJoin(HHJConfig(spill_dir=spill_dir, **cfg_kw))
             pairs = op.run_collect(build, probe)
             assert os.listdir(spill_dir) == []

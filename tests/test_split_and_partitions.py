@@ -3,6 +3,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.partitions import (
     DEFAULT_NUM_PARTITIONS,
@@ -27,7 +29,8 @@ class TestStableHash:
     def test_numeric_normalization(self, a, b):
         assert stable_hash(a, 5) == stable_hash(b, 5)
 
-    @pytest.mark.parametrize("key", ["abc", b"abc", (1, "x"), 3.5, None])
+    @pytest.mark.parametrize("key", ["abc", b"abc", (1, "x"), 3.5, None,
+                                     float("nan"), float("inf"), float("-inf")])
     def test_non_int_keys_hash(self, key):
         h = stable_hash(key, 0)
         assert isinstance(h, int) and h >= 0
@@ -38,7 +41,7 @@ class TestStableHash:
 
     def test_distribution_roughly_uniform(self):
         p = 16
-        counts = collections.Counter(split_partition(k, p) for k in range(10000))
+        counts = collections.Counter(split_partition(range(10000), p))
         assert min(counts.values()) > 10000 / p * 0.7
         assert max(counts.values()) < 10000 / p * 1.3
 
@@ -46,23 +49,79 @@ class TestStableHash:
 class TestSplitPartition:
     @pytest.mark.parametrize("p", [1, 2, 5, 20, 128])
     def test_in_range(self, p):
-        for k in range(200):
-            assert 0 <= split_partition(k, p) < p
+        assert all(0 <= pid < p for pid in split_partition(range(200), p))
 
     def test_levels_decorrelate(self):
         # records in one level-0 partition must spread at level 1
         p = 8
-        keys = [k for k in range(5000) if split_partition(k, p, 0) == 3]
-        level1 = collections.Counter(split_partition(k, p, 1) for k in keys)
+        keys = [k for k, pid in zip(range(5000), split_partition(range(5000), p, 0))
+                if pid == 3]
+        level1 = collections.Counter(split_partition(keys, p, 1))
         assert len(level1) == p     # all buckets hit
 
     def test_invalid_partitions(self):
-        with pytest.raises(ValueError):
-            split_partition(1, 0)
+        for keys in ([1], []):
+            with pytest.raises(ValueError):
+                split_partition(keys, 0)
+
+
+def reference_split(keys, p, level):
+    """The batch kernel's definition, one scalar ``stable_hash`` per key."""
+    return [stable_hash(k, 0xA5A5 + level) % p for k in keys]
+
+
+#: every kind of key the batch kernel must route as ``stable_hash`` does:
+#: ints inside and far outside int64, bools, numpy ints, integral,
+#: fractional and non-finite floats, digit and other strings, bytes, tuples
+ANY_KEY = st.one_of(
+    st.integers(-2**63, 2**63 - 1),
+    st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 2**64 - 1, 2**64,
+                     2**64 + 7, -2**64, 2**100, -2**100]),
+    st.integers(-2**200, 2**200),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-2**60, 2**60).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e300, -0.0]),
+    st.integers(-10**30, 10**30).map(str),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.tuples(st.integers(-5, 5), st.text(max_size=3)),
+    st.none(),
+)
+
+
+class TestBatchRouting:
+    """``split_partition`` on a batch equals the scalar reference per key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(ANY_KEY, max_size=40), p=st.integers(1, 200),
+           level=st.integers(0, 31))
+    def test_mixed_batch_equals_scalar_reference(self, keys, p, level):
+        assert split_partition(keys, p, level) == reference_split(keys, p, level)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.lists(st.integers(-2**63, 2**63 - 1), max_size=200),
+           p=st.integers(1, 2**62), level=st.integers(0, 31))
+    def test_int64_batch_equals_scalar_reference(self, keys, p, level):
+        assert split_partition(keys, p, level) == reference_split(keys, p, level)
+
+    @pytest.mark.parametrize("keys", [
+        [], [2**63], [1, 2**63], [-2**63 - 1, 5], [1, True], [1, 1.0], [1, "1"],
+        [np.int64(-1), -1], [float("nan")], [float("inf"), float("-inf")],
+    ])
+    def test_edge_batches(self, keys):
+        for level in range(3):
+            assert split_partition(keys, 20, level) == reference_split(keys, 20, level)
+
+    def test_returns_plain_ints(self):
+        assert all(type(pid) is int for pid in split_partition([1, "a", 2**70], 7))
 
 
 #: key → (stable_hash(key, 0), stable_hash(key, 99),
-#: [split_partition(key, 20, level) for level in 0, 1, 2]). Fixed values:
+#: [split_partition([key], 20, level) for level in 0, 1, 2]). Fixed values:
 #: a change to the hash or to key canonicalisation that moves any of them
 #: re-routes records and changes every recorded spill count.
 PINNED = [
@@ -86,7 +145,12 @@ class TestPinnedValues:
     def test_hash_and_split_values(self, key, h0, h99, splits):
         assert stable_hash(key, 0) == h0
         assert stable_hash(key, 99) == h99
-        assert [split_partition(key, 20, level) for level in range(3)] == splits
+        assert [split_partition([key], 20, level)[0] for level in range(3)] == splits
+
+    @pytest.mark.parametrize("level", range(3))
+    def test_split_values_as_one_batch(self, level):
+        keys = [key for key, *_ in PINNED]
+        assert split_partition(keys, 20, level) == [s[level] for *_, s in PINNED]
 
 
 class TestEq2:
