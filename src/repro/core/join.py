@@ -29,20 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
 from ..frames.spillfile import DiskSpillFile, MemorySpillFile, SpillFile
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
-from ..insertion.policies import InsertionPolicy, RandomPct
+from ..insertion.policies import InsertionPolicy
 from ..insertion.policies import make_policy as make_insertion
 from ..victim.policies import VictimContext, VictimPolicy
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
-from .stats import JoinStats, Phase
+from .stats import JoinStats
 
 Record = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
@@ -74,7 +74,8 @@ class HHJConfig:
     memory_frames: int
     frame_bytes: int = 32 * 1024
     num_partitions: Optional[int] = None     # None → robust §4 policy
-    insertion: str = "append(8)"
+    #: a §5 policy name, or a factory pid → policy instance
+    insertion: Union[str, Callable[[int], InsertionPolicy]] = "append(8)"
     victim: str = "largest-size"
     growth: str = "ng-ns"
     min_partitions: int = 20                 # §4 lower bound for later rounds
@@ -100,7 +101,6 @@ class DynamicHybridHashJoin:
         self.stats = JoinStats(frame_bytes=cfg.frame_bytes)
         self.growth: GrowthPolicy = make_growth(cfg.growth)
         self.victim: VictimPolicy = make_victim(cfg.victim)
-        self.victim.reset()
 
     # -- factories -------------------------------------------------------
     def _spill_file_factory(self) -> Callable[[], SpillFile]:
@@ -108,20 +108,12 @@ class DynamicHybridHashJoin:
             return lambda: DiskSpillFile(dir=self.cfg.spill_dir)
         return MemorySpillFile
 
-    def _insertion_for(self, pid: int) -> InsertionPolicy:
-        ins = self.cfg.insertion
-        if callable(ins):
-            # experiment harnesses pass a factory pid → policy instance
-            return ins(pid)
-        pol = make_insertion(ins)
-        if isinstance(pol, RandomPct):
-            # distinct deterministic stream per partition
-            pol.rng.seed(pid)
-        return pol
-
     def _new_partitions(self, p: int) -> List[Partition]:
+        ins = self.cfg.insertion
+        # a name seeds each partition's policy with its pid (Random(%p)'s stream)
+        new_policy = ins if callable(ins) else lambda pid: make_insertion(ins, seed=pid)
         factory = self._spill_file_factory()
-        return [Partition(pid, self.cfg.frame_bytes, factory, self._insertion_for(pid))
+        return [Partition(pid, self.cfg.frame_bytes, factory, new_policy(pid))
                 for pid in range(p)]
 
     def _admit(self, records: Iterable[Record]) -> Iterator[Record]:
@@ -187,6 +179,17 @@ class DynamicHybridHashJoin:
 
         partitions = self._new_partitions(p)
         pool = BufferPool(cfg.memory_frames)
+
+        def make_room(part: Partition) -> bool:
+            """Spill for a record of resident ``part``; False once ``part``
+            itself has spilled."""
+            if self._free_memory(partitions, part, pool, level) is None:
+                raise MemoryError(
+                    "cannot free memory: all partitions spilled and pool full "
+                    f"(budget={pool.budget}, P={len(partitions)})"
+                )
+            return not part.spilled
+
         try:
             build_bytes = 0
             for batch in _batches(build):
@@ -194,9 +197,16 @@ class DynamicHybridHashJoin:
                 pids = split_partition(list(map(_key, batch)), p, level)
                 for (key, size, payload), pid in zip(batch, pids):
                     build_bytes += size
-                    self._insert(size, (key, payload), partitions[pid], partitions,
-                                 pool, level, "build")
-            self._flush_spilled_tails(partitions, pool, "build", level)
+                    part = partitions[pid]
+                    if part.spilled or not part.place(size, (key, payload), pool,
+                                                      make_room):
+                        self._insert_spilled(size, (key, payload), part,
+                                             partitions, pool, level)
+            # every spilled partition's leftover frames go to disk
+            for q in partitions:
+                if q.spilled:
+                    self.growth.flush_spilled(q, pool, self.stats, "build", level,
+                                              keep_buffer=False)
         except BaseException:
             for q in partitions:
                 q.close()
@@ -228,10 +238,10 @@ class DynamicHybridHashJoin:
         stats.rounds += 1
         partitions, pool, this_build_frames = self._build(build, level, build_frames)
         p = len(partitions)
-        probe_files: Dict[int, SpillFile] = {}
+        probe_parts: Dict[int, Partition] = {}
         try:
             # §8.5 reload spilled partitions that fit the leftover memory.
-            self._reload_spilled(partitions, pool, level)
+            self._reload_spilled(partitions, pool)
 
             # Make room for one probe output buffer per spilled partition.
             self._reserve_probe_buffers(partitions, pool, level)
@@ -241,31 +251,25 @@ class DynamicHybridHashJoin:
             table = self._hash_table(resident)
 
             # ---------------- probe phase ----------------
+            # one output buffer per spilled partition, reserved above
             new_file = self._spill_file_factory()
-            probe_files.update((q.pid, new_file()) for q in spilled)
-            probe_bufs = {q.pid: q.frames[0] if q.frames else None for q in spilled}
             for q in spilled:
-                if probe_bufs[q.pid] is None:
-                    pool.allocate(1)
-                    probe_bufs[q.pid] = q.new_frame()
+                pool.allocate(1)
+                probe_parts[q.pid] = Partition(q.pid, cfg.frame_bytes, new_file)
+                probe_parts[q.pid].new_frame()
             for batch in _batches(probe):
                 stats.records_processed += len(batch)
                 pids = split_partition(list(map(_key, batch)), p, level)
                 for (key, size, payload), pid in zip(batch, pids):
-                    if pid in probe_files:
-                        buf = probe_bufs[pid]
-                        if not buf.fits(size):
-                            probe_files[pid].write_frames([buf], stats, "probe", pid, level)
-                            buf.clear()
-                        buf.insert(size, (key, payload))
+                    pp = probe_parts.get(pid)
+                    if pp is not None:
+                        pp.append_buffered(size, (key, payload), stats, "probe", level)
                     else:
                         stats.hash_probes += 1
                         for bpayload in table.get(key, ()):
                             yield (bpayload, payload) if not swapped else (payload, bpayload)
-            for pid, buf in probe_bufs.items():
-                if buf.used > 0:
-                    probe_files[pid].write_frames([buf], stats, "probe", pid, level)
-                    buf.clear()
+            for pp in probe_parts.values():
+                pp.write_out(pool, stats, "probe", level, keep_buffer=False)
 
             del table
             for q in resident:
@@ -273,11 +277,11 @@ class DynamicHybridHashJoin:
 
             # ---------------- recursion on spilled pairs ----------------
             for q in spilled:
-                bfile, pfile = q.spill_file, probe_files[q.pid]
+                pp = probe_parts[q.pid]
+                bfile, pfile = q.spill_file, pp.spill_file
                 b_frames = bfile.frames_written if bfile else 0
-                p_frames = pfile.frames_written
+                p_frames = pfile.frames_written if pfile else 0
                 if b_frames and p_frames:
-                    stats.frames_read += b_frames + p_frames
                     child_build = self._spill_records(bfile)
                     child_probe = self._spill_records(pfile)
                     child_bf, child_swapped = b_frames, swapped
@@ -289,83 +293,50 @@ class DynamicHybridHashJoin:
                     yield from self._round(child_build, child_probe, level + 1,
                                            child_bf, this_build_frames, child_swapped)
                 q.close()
-                pfile.close()
+                pp.close()
 
             self._collect_search_stats(partitions)
         finally:
             # every exit path, early generator close and exceptions included
-            for q in partitions:
+            for q in [*partitions, *probe_parts.values()]:
                 q.close()
-            for f in probe_files.values():
-                f.close()
 
-    @staticmethod
-    def _spill_records(spill_file: SpillFile) -> Iterator[Record]:
-        """Replay a spill file as (key, size, payload) records.
+    def _spill_records(self, spill_file: SpillFile) -> Iterator[Record]:
+        """Replay a spill file as (key, size, payload) records, its read
+        charged now.
 
         Frames store records as ``(size, (key, payload))`` — the key is
         retained in the stored payload exactly so spilled data can be
-        re-partitioned in later rounds (see ``_insert``).
+        re-partitioned in later rounds.
         """
-        for size, (key, payload) in spill_file.read_all():
-            yield key, size, payload
+        return ((key, size, payload)
+                for size, (key, payload) in spill_file.replay(self.stats))
 
-    # -- record insertion (build side) -----------------------------------
-    def _insert(self, size: int, stored: Tuple[Any, Any], part: Partition,
-                partitions: List[Partition], pool: BufferPool,
-                level: int, phase: Phase) -> None:
-        """Insert one build record, ``stored`` = (key, payload): spill files
-        must retain the key for re-partitioning."""
-        if not part.spilled:
-            if part.insert(size, stored):
-                return
-            while not pool.can_allocate(1) and not part.spilled:
-                if not self._free_memory(partitions, part.pid, pool, phase, level):
-                    raise MemoryError(
-                        "cannot free memory: all partitions spilled and pool full "
-                        f"(budget={pool.budget}, P={len(partitions)})"
-                    )
-            if not part.spilled:
-                pool.allocate(1)
-                part.insert_new_frame(size, stored)
-                return
-            # else: our own partition was victimized while freeing memory
+    # -- memory pressure -------------------------------------------------
+    def _insert_spilled(self, size: int, stored: Tuple[Any, Any], part: Partition,
+                        partitions: List[Partition], pool: BufferPool,
+                        level: int) -> None:
+        """Insert one build record, ``stored`` = (key, payload), into
+        spilled ``part``: spill files must retain the key for
+        re-partitioning."""
         while not self.growth.insert_into_spilled(part, size, stored, pool,
-                                                  self.stats, phase, level):
-            if self._free_memory(partitions, part.pid, pool, phase, level):
+                                                  self.stats, "build", level):
+            if self._free_memory(partitions, part, pool, level) is not None:
                 continue
             if part.num_frames == 0:
                 raise MemoryError("spilled-partition insert cannot make progress")
             # last resort: recycle our own (full) buffer via a flush
-            self.growth.flush_spilled(part, pool, self.stats, phase, level)
+            self.growth.flush_spilled(part, pool, self.stats, "build", level)
 
-    def _free_memory(self, partitions: List[Partition], pid: int, pool: BufferPool,
-                     phase: Phase, level: int) -> bool:
-        """Let the growth policy free frames for a record of partition
-        ``pid``; False when no partition holds a frame it could give up."""
-        if not any(q.num_frames > 1 if q.spilled else q.num_frames >= 1
-                   for q in partitions):
-            return False
-        ctx = VictimContext(pid, sum(1 for q in partitions if q.spilled),
+    def _free_memory(self, partitions: List[Partition], part: Partition,
+                     pool: BufferPool, level: int) -> Optional[Partition]:
+        """Let the growth policy free frames for a record of ``part``."""
+        ctx = VictimContext(part.pid, sum(q.spilled for q in partitions),
                             len(partitions))
-        self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                self.stats, phase, level)
-        return True
+        return self.growth.free_memory(partitions, ctx, pool, self.victim,
+                                       self.stats, "build", level)
 
-    # -- build-phase epilogue --------------------------------------------
-    def _flush_spilled_tails(self, partitions: List[Partition], pool: BufferPool,
-                             phase: Phase, level: int) -> None:
-        """End of build: every spilled partition's leftover frames go to disk."""
-        for q in partitions:
-            if q.spilled and q.num_frames > 0 and q.in_memory_bytes > 0:
-                self.growth.flush_spilled(q, pool, self.stats, phase, level,
-                                          keep_buffer=False)
-            elif q.spilled and q.num_frames > 0:
-                pool.release(q.num_frames)
-                q.frames = []
-
-    def _reload_spilled(self, partitions: List[Partition], pool: BufferPool,
-                        level: int) -> None:
+    def _reload_spilled(self, partitions: List[Partition], pool: BufferPool) -> None:
         """§8.5: pull back spilled partitions that now fit in free memory."""
         reloadable = sorted(
             (q for q in partitions
@@ -376,44 +347,27 @@ class DynamicHybridHashJoin:
             need = q.spill_file.frames_written
             if need * TABLE1_FUDGE > pool.free:
                 continue
-            records = list(q.spill_file.read_all())
-            self.stats.frames_read += need
             self.stats.frames_reloaded += need
-            ok = True
-            q.spilled = False
-            for size, stored in records:
-                if q.insert(size, stored):
-                    continue
-                if not pool.can_allocate(1):
-                    ok = False
-                    break
-                pool.allocate(1)
-                q.insert_new_frame(size, stored)
-            if ok:
+            if all(q.place(size, stored, pool)
+                   for size, stored in q.spill_file.replay(self.stats)):
+                q.spilled = False
                 q.spill_file.close()
                 q.spill_file = None
-                q.records_spilled = 0
-                q.bytes_spilled = 0
             else:
-                # does not fit after all: push everything back out
-                self.growth.flush_spilled(q, pool, self.stats, "build", level,
-                                          keep_buffer=False)
-                q.spilled = True
+                # does not fit after all: the file still holds every record
+                q.drop_frames(pool)
 
     def _reserve_probe_buffers(self, partitions: List[Partition],
                                pool: BufferPool, level: int) -> None:
         """Spill more residents until each spilled partition can hold one
         probe output buffer within the budget."""
-        while True:
-            n_spilled = sum(1 for q in partitions if q.spilled)
-            if pool.allocated + n_spilled <= pool.budget:
-                break
-            candidates = [q for q in partitions if not q.spilled and q.num_frames >= 1]
-            if not candidates:
+        while (n_spilled := sum(q.spilled for q in partitions)) + pool.allocated > pool.budget:
+            # spilled partitions hold no frames here, so G-S steals nothing
+            target = self.growth.free_memory(
+                partitions, VictimContext(-1, n_spilled, len(partitions)), pool,
+                self.victim, self.stats, "build", level)
+            if target is None:
                 raise MemoryError("cannot reserve probe buffers: no resident victims")
-            ctx = VictimContext(-1, n_spilled, len(partitions))
-            target = self.victim.choose(candidates, ctx)
-            self.growth.initial_spill(target, pool, self.stats, "build", level)
             self.growth.flush_spilled(target, pool, self.stats, "build", level,
                                       keep_buffer=False)
 

@@ -68,12 +68,16 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     to the session's shuffle parallelism). ``size_column`` names an
     integer column carrying each record's nominal size in bytes (the
     Wisconsin datasets provide one); otherwise sizes are estimated from
-    the pandas memory footprint. A size outside ``(0, cfg.frame_bytes]``
-    fails the join, as it does in the operator.
+    the pandas memory footprint; a ``size_column`` neither input has
+    raises ``ValueError``. A size outside ``(0, cfg.frame_bytes]`` fails
+    the join, as it does in the operator.
 
     Returns all build columns followed by all probe columns (collisions
     suffixed). Inner-join semantics: null keys never match.
     """
+    if size_column is not None and not (size_column in build.columns
+                                        or size_column in probe.columns):
+        raise ValueError(f"size_column {size_column!r} is in neither input")
     spark = build.sparkSession
     if cfg is None:
         cfg = HHJConfig(memory_frames=256)

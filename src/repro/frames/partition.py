@@ -4,6 +4,10 @@ Mirrors the paper's Fig. 2 structure: each partition owns an ordered
 array of frames (oldest first, newest last) and the §5 insertion policy
 that searches it; when the partition spills it gains a spill file and —
 under NG-NS — is reduced to a single output buffer frame.
+
+The partition places its records within the operator's
+:class:`~repro.frames.pool.BufferPool` and writes its own frames out;
+which partition spills, and when, is the growth policy's decision.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from .spillfile import MemorySpillFile, SpillFile
 
 if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
+    from .pool import BufferPool
 
 
 class Partition:
@@ -27,13 +32,11 @@ class Partition:
         self.frame_bytes = frame_bytes
         self.frames: List[Frame] = []
         self.spilled = False
+        #: created on the first write
         self.spill_file: Optional[SpillFile] = None
         self._spill_file_factory = spill_file_factory
         #: the operator's default, Append(8), unless the caller picks one
         self.insertion = insertion if insertion is not None else AppendN(8)
-        # lifetime counters (in-memory state is derivable from frames)
-        self.records_spilled = 0
-        self.bytes_spilled = 0
 
     # -- in-memory state -------------------------------------------------
     @property
@@ -53,49 +56,81 @@ class Partition:
         """Total free space inside allocated frames (paper's Least-Fragmentation metric)."""
         return sum(f.free for f in self.frames)
 
-    # -- frame management ------------------------------------------------
+    # -- placing records -------------------------------------------------
     def new_frame(self) -> Frame:
         """Append a freshly allocated frame (caller must hold a pool grant)."""
         f = Frame(self.frame_bytes)
         self.frames.append(f)
         return f
 
-    def insert(self, size: int, payload: Any) -> bool:
-        """Place a record in the frame the insertion policy finds.
+    def place(self, size: int, payload: Any, pool: "BufferPool",
+              make_room: Optional[Callable[["Partition"], bool]] = None) -> bool:
+        """Place a record in the frame the insertion policy finds, else in
+        a new frame ``pool`` funds.
 
-        Returns False when no searched frame fits: the caller then
-        funds a new frame from the pool and calls :meth:`insert_new_frame`.
+        The frames are searched once. While the pool is full,
+        ``make_room(self)`` may free frames; it returns False to give up.
+        Returns False when the record was not placed.
         """
-        idx = self.insertion.find_frame(self.frames, size)
-        if idx is None:
-            return False
-        self.frames[idx].insert(size, payload)
-        self.insertion.notify_inserted(idx, size, appended=False)
-        return True
-
-    def insert_new_frame(self, size: int, payload: Any) -> None:
-        """Place a record in a new frame (caller must hold a pool grant)."""
+        if self.frames:
+            idx = self.insertion.find_frame(self.frames, size)
+            if idx is not None:
+                self.frames[idx].insert(size, payload)
+                self.insertion.notify_inserted(idx, size, appended=False)
+                return True
+        while not pool.can_allocate(1):
+            if make_room is None or not make_room(self):
+                return False
+        pool.allocate(1)
         self.new_frame().insert(size, payload)
         self.insertion.notify_inserted(len(self.frames) - 1, size, appended=True)
+        return True
 
-    def ensure_spill_file(self) -> SpillFile:
+    def append_buffered(self, size: int, payload: Any, stats: "JoinStats",
+                        phase: "Phase", round_no: int) -> None:
+        """Add a record to the partition's one output-buffer frame; when
+        it does not fit, the buffer first goes to disk as a single-frame
+        (random) write (§6.1)."""
+        buf = self.frames[0]
+        if not buf.fits(size):
+            self._write([buf], stats, phase, round_no)
+            buf.clear()
+        buf.insert(size, payload)
+
+    # -- writing out -----------------------------------------------------
+    def write_out(self, pool: "BufferPool", stats: "JoinStats", phase: "Phase",
+                  round_no: int, keep_buffer: bool) -> int:
+        """Write the non-empty frames as one op (sequential iff >1 frame)
+        and release the frames to ``pool``, keeping one cleared output
+        buffer if ``keep_buffer``. Returns frames freed."""
+        n = self.num_frames
+        if n == 0:
+            return 0
+        nonempty = [f for f in self.frames if f.used > 0]
+        if nonempty:
+            self._write(nonempty, stats, phase, round_no)
+        if keep_buffer:
+            buffer = self.frames[-1]
+            buffer.clear()
+            self.frames = [buffer]
+            n -= 1
+        else:
+            self.frames = []
+        pool.release(n)
+        return n
+
+    def drop_frames(self, pool: "BufferPool") -> None:
+        """Release every frame without writing it: its records are
+        already in the spill file."""
+        pool.release(self.num_frames)
+        self.frames = []
+        self.insertion.notify_spilled()
+
+    def _write(self, frames: List[Frame], stats: "JoinStats", phase: "Phase",
+               round_no: int) -> None:
         if self.spill_file is None:
             self.spill_file = self._spill_file_factory()
-        return self.spill_file
-
-    def flush_frames(self, frames: List[Frame], stats: "JoinStats",
-                     phase: "Phase", round_no: int) -> int:
-        """Write ``frames`` to the spill file as one accounted write op.
-
-        Returns the number of bytes moved. Does **not** touch
-        ``self.frames`` — the caller decides which frames leave memory
-        (growth-policy specific) and releases them from the pool.
-        """
-        moved = self.ensure_spill_file().write_frames(frames, stats, phase,
-                                                      self.pid, round_no)
-        self.records_spilled += sum(len(f) for f in frames)
-        self.bytes_spilled += moved
-        return moved
+        self.spill_file.write_frames(frames, stats, phase, self.pid, round_no)
 
     def close(self) -> None:
         if self.spill_file is not None:

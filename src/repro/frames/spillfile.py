@@ -9,10 +9,11 @@ Two implementations behind one interface:
   used by the Spark-executor operator so a partition pair larger than the
   configured budget does not balloon executor memory.
 
-Both count frames and bytes written, and both record their writes in
-the operator's :class:`~repro.core.stats.JoinStats` through the one
-method they share, :meth:`SpillFile.write_frames`, so the I/O accounting
-(and hence the storage model) sees exactly what the files hold.
+Both count frames and bytes written, and both record their I/O in the
+operator's :class:`~repro.core.stats.JoinStats` through the two methods
+they share: every write through :meth:`SpillFile.write_frames`, every
+replay through :meth:`SpillFile.replay`. The I/O accounting (and hence
+the storage model) sees exactly what the files hold.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ Record = Tuple[int, Any]  # (size, payload), as frames hold them
 
 
 class SpillFile:
-    """Write counters and accounted multi-frame writes of a spill file."""
+    """Write counters and accounted writes and replays of a spill file."""
 
     def __init__(self) -> None:
         self.frames_written = 0
@@ -38,19 +39,27 @@ class SpillFile:
     def write_frame(self, records: Sequence[Record]) -> None:
         raise NotImplementedError
 
+    def read_all(self) -> Iterator[Record]:
+        raise NotImplementedError
+
     def write_frames(self, frames: Sequence["Frame"], stats: "JoinStats",
-                     phase: "Phase", pid: int, round_no: int) -> int:
+                     phase: "Phase", pid: int, round_no: int) -> None:
         """Write ``frames`` as one write op of partition ``pid``.
 
         The only place a write is recorded in ``stats``, from this file's
-        own counters, so the two cannot drift apart. Returns bytes written.
+        own counters, so the two cannot drift apart.
         """
         frames0, bytes0 = self.frames_written, self.bytes_written
         for f in frames:
             self.write_frame(f.records)
-        moved = self.bytes_written - bytes0
-        stats.record_write(self.frames_written - frames0, moved, phase, pid, round_no)
-        return moved
+        stats.record_write(self.frames_written - frames0,
+                           self.bytes_written - bytes0, phase, pid, round_no)
+
+    def replay(self, stats: "JoinStats") -> Iterator[Record]:
+        """Every record in write order; the only place a read is charged
+        to ``stats`` (all frames written, when the replay is asked for)."""
+        stats.frames_read += self.frames_written
+        return self.read_all()
 
 
 class MemorySpillFile(SpillFile):

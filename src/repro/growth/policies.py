@@ -19,7 +19,7 @@ first spill and differ only in how the remainder is written.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
@@ -29,30 +29,12 @@ if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
 
 
-def _write_out(part: Partition, pool: BufferPool, stats: JoinStats, phase: Phase,
-               round_no: int, keep_buffer: bool) -> int:
-    """Write a partition's non-empty frames as one op (sequential iff >1
-    frame) and release its frames, keeping one cleared output buffer if
-    ``keep_buffer``. Returns frames freed."""
-    n = part.num_frames
-    if n == 0:
-        return 0
-    nonempty = [f for f in part.frames if f.used > 0]
-    if nonempty:
-        part.flush_frames(nonempty, stats, phase, round_no)
-    if keep_buffer:
-        buffer = part.frames[-1]
-        buffer.clear()
-        part.frames = [buffer]
-        pool.release(n - 1)
-        return n - 1
-    part.frames = []
-    pool.release(n)
-    return n
-
-
 class GrowthPolicy:
-    """Base growth policy: shared initial-spill mechanics."""
+    """Base growth policy: shared initial-spill mechanics.
+
+    The only caller of a §7 :class:`VictimPolicy`: every resident
+    partition the operator spills is picked in :meth:`_spill_resident`.
+    """
 
     name = "base"
 
@@ -65,7 +47,7 @@ class GrowthPolicy:
         empty partition allocates its buffer lazily on first insert.
         """
         assert not part.spilled, f"partition {part.pid} already spilled"
-        freed = _write_out(part, pool, stats, phase, round_no, keep_buffer=True)
+        freed = part.write_out(pool, stats, phase, round_no, keep_buffer=True)
         part.spilled = True
         stats.partitions_spilled += 1
         return freed
@@ -77,7 +59,7 @@ class GrowthPolicy:
         One write op covering all its frames (sequential iff >1 frame).
         Returns frames freed.
         """
-        return _write_out(part, pool, stats, phase, round_no, keep_buffer)
+        return part.write_out(pool, stats, phase, round_no, keep_buffer)
 
     # -- hooks the operator calls ---------------------------------------
     def insert_into_spilled(self, part: Partition, size: int, payload,
@@ -92,20 +74,21 @@ class GrowthPolicy:
 
     def free_memory(self, partitions: Sequence[Partition], ctx: VictimContext,
                     pool: BufferPool, victim: VictimPolicy, stats: JoinStats,
-                    phase: Phase, round_no: int) -> int:
-        """Free at least some frames; returns the number freed (0 = stuck)."""
+                    phase: Phase, round_no: int) -> Optional[Partition]:
+        """Give up memory: returns the partition that spilled or flushed,
+        None when no partition holds a frame this policy may take."""
         raise NotImplementedError
 
     def _spill_resident(self, partitions, ctx, pool, victim, stats,
-                        phase, round_no) -> int:
+                        phase, round_no) -> Optional[Partition]:
         """Spill the memory-resident partition the §7 victim policy picks."""
         candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
         if not candidates:
-            return 0
+            return None
         target = victim.choose(candidates, ctx)
-        freed = self.initial_spill(target, pool, stats, phase, round_no)
+        self.initial_spill(target, pool, stats, phase, round_no)
         target.insertion.notify_spilled()
-        return freed
+        return target
 
 
 class NoGrowNoSteal(GrowthPolicy):
@@ -121,16 +104,11 @@ class NoGrowNoSteal(GrowthPolicy):
             pool.allocate(1)
             part.new_frame()
         assert part.num_frames == 1, "NG-NS invariant: one buffer per spilled partition"
-        buf = part.frames[0]
-        if not buf.fits(size):
-            # single-frame flush → random write (§6.1)
-            part.flush_frames([buf], stats, phase, round_no)
-            buf.clear()
-        buf.insert(size, payload)
+        part.append_buffered(size, payload, stats, phase, round_no)
         return True
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
-                    phase, round_no) -> int:
+                    phase, round_no) -> Optional[Partition]:
         return self._spill_resident(partitions, ctx, pool, victim, stats,
                                     phase, round_no)
 
@@ -142,23 +120,17 @@ class GrowSteal(GrowthPolicy):
 
     def insert_into_spilled(self, part, size, payload, pool, stats,
                             phase, round_no) -> bool:
-        if part.frames and part.insert(size, payload):
-            return True
-        if pool.can_allocate(1):
-            pool.allocate(1)
-            part.insert_new_frame(size, payload)
-            return True
-        return False
+        return part.place(size, payload, pool)
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
-                    phase, round_no) -> int:
+                    phase, round_no) -> Optional[Partition]:
         # Steal: flush the spilled partition holding the most frames.
         spilled = [p for p in partitions if p.spilled and p.num_frames > 1]
         if spilled:
             target = max(spilled, key=lambda p: (p.num_frames, -p.pid))
-            freed = self.flush_spilled(target, pool, stats, phase, round_no)
+            self.flush_spilled(target, pool, stats, phase, round_no)
             target.insertion.notify_spilled()
-            return freed
+            return target
         return self._spill_resident(partitions, ctx, pool, victim, stats,
                                     phase, round_no)
 

@@ -29,11 +29,9 @@ class InsertionPolicy:
 
     def __init__(self) -> None:
         self.frames_searched = 0
-        self.calls = 0
 
     def reset_stats(self) -> None:
         self.frames_searched = 0
-        self.calls = 0
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
         """Index of a frame that fits ``size`` bytes, or None to allocate."""
@@ -60,7 +58,6 @@ class AppendN(InsertionPolicy):
         self.name = f"append({n})"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         lo = max(0, len(frames) - self.n)
         for i in range(len(frames) - 1, lo - 1, -1):
             self.frames_searched += 1
@@ -75,7 +72,6 @@ class FirstFit(InsertionPolicy):
     name = "first-fit"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         for i in range(len(frames) - 1, -1, -1):
             self.frames_searched += 1
             if frames[i].fits(size):
@@ -94,7 +90,6 @@ class FirstFitPct(InsertionPolicy):
         self.name = f"first-fit({int(pct * 100)}%)"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         limit = math.ceil(self.pct * len(frames))
         lo = max(0, len(frames) - limit)
         for i in range(len(frames) - 1, lo - 1, -1):
@@ -110,7 +105,6 @@ class BestFit(InsertionPolicy):
     name = "best-fit"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         best_i: Optional[int] = None
         best_free = None
         for i in range(len(frames) - 1, -1, -1):
@@ -164,7 +158,6 @@ class NextFit(InsertionPolicy):
         return None
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         if not frames:
             return None
         if self._last_index is None or self._last_index >= len(frames):
@@ -189,11 +182,10 @@ class RandomPct(InsertionPolicy):
         if not 0 < pct <= 1:
             raise ValueError("Random(%p) needs 0 < p <= 1")
         self.pct = pct
-        self.rng = random.Random(seed)   # the operator reseeds it per partition
+        self.rng = random.Random(seed)   # the operator seeds it with the pid
         self.name = f"random({int(pct * 100)}%)"
 
     def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        self.calls += 1
         if not frames:
             return None
         k = min(len(frames), math.ceil(self.pct * len(frames)))
@@ -204,25 +196,27 @@ class RandomPct(InsertionPolicy):
         return None
 
 
-#: The six §5.3 contenders at the paper's chosen parameter values.
+#: The six §5.3 contenders at the paper's chosen parameter values, each
+#: built from the seed of its random stream (only Random(%p) has one).
 _CONSTRUCTORS = {
-    "append(8)": lambda: AppendN(8),
-    "first-fit": FirstFit,
-    "first-fit(10%)": lambda: FirstFitPct(0.10),
-    "best-fit": BestFit,
-    "next-fit": NextFit,
-    "random(10%)": lambda: RandomPct(0.10),
+    "append(8)": lambda seed: AppendN(8),
+    "first-fit": lambda seed: FirstFit(),
+    "first-fit(10%)": lambda seed: FirstFitPct(0.10),
+    "best-fit": lambda seed: BestFit(),
+    "next-fit": lambda seed: NextFit(),
+    "random(10%)": lambda seed: RandomPct(0.10, seed),
 }
 
 
 def default_policies() -> dict:
     """Fresh instances of the six §5.3 contenders, keyed by canonical name."""
-    return {name: make() for name, make in _CONSTRUCTORS.items()}
+    return {name: make(0) for name, make in _CONSTRUCTORS.items()}
 
 
-def make_policy(name: str) -> InsertionPolicy:
-    """Construct one policy from its canonical name (fresh stats)."""
+def make_policy(name: str, seed: int = 0) -> InsertionPolicy:
+    """Construct one policy from its canonical name (fresh stats);
+    ``seed`` seeds a random search."""
     if name not in _CONSTRUCTORS:
         raise KeyError(f"unknown insertion policy {name!r}; "
                        f"choose from {sorted(_CONSTRUCTORS)}")
-    return _CONSTRUCTORS[name]()
+    return _CONSTRUCTORS[name](seed)

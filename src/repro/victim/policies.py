@@ -31,9 +31,6 @@ class VictimPolicy:
 
     name = "base"
 
-    def reset(self) -> None:
-        """Clear any cross-spill state (Low-High alternation, RNG…)."""
-
     def choose(self, candidates: Sequence[Partition], ctx: VictimContext) -> Partition:
         raise NotImplementedError
 
@@ -135,11 +132,7 @@ class RandomVictim(VictimPolicy):
     name = "random"
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
         self._rng = random.Random(seed)
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
     def choose(self, candidates, ctx):
         return self._rng.choice(list(candidates))
@@ -172,9 +165,6 @@ class LowHigh(VictimPolicy):
     name = "low-high"
 
     def __init__(self) -> None:
-        self._spill_largest_next = False
-
-    def reset(self) -> None:
         self._spill_largest_next = False
 
     def choose(self, candidates, ctx):

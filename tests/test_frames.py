@@ -126,25 +126,28 @@ class TestPartition:
 
     def test_flush_frames_moves_to_spill_file(self):
         p = Partition(0, 1000)
+        pool = BufferPool(4)
+        pool.allocate(1)
         f = p.new_frame()
         f.insert(500, "a")
         f.insert(400, "b")
-        moved = p.flush_frames([f], JoinStats(1000), "build", 0)
-        assert moved == 900
-        assert p.records_spilled == 2
-        assert p.bytes_spilled == 900
+        stats = JoinStats(1000)
+        freed = p.write_out(pool, stats, "build", 0, keep_buffer=False)
+        assert freed == 1 and pool.allocated == 0 and p.frames == []
+        assert stats.build_bytes_spilled == 900
+        assert p.spill_file.bytes_written == 900
         assert p.spill_file.frames_written == 1
         assert list(p.spill_file.read_all()) == [(500, "a"), (400, "b")]
 
     def test_totals_combine_memory_and_spill(self):
         p = Partition(0, 1000)
-        f = p.new_frame()
-        f.insert(500, "a")
-        p.flush_frames([f], JoinStats(1000), "build", 0)
-        f.clear()
-        f.insert(200, "b")
-        assert p.in_memory_records + p.records_spilled == 2
-        assert p.in_memory_bytes + p.bytes_spilled == 700
+        pool = BufferPool(4)
+        pool.allocate(1)
+        p.new_frame().insert(500, "a")
+        p.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=True)
+        p.frames[0].insert(200, "b")
+        assert p.in_memory_records + len(list(p.spill_file.read_all())) == 2
+        assert p.in_memory_bytes + p.spill_file.bytes_written == 700
 
 
 class TestSpillFiles:

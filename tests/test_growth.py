@@ -79,7 +79,7 @@ class TestNGNS:
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
-        assert part.records_spilled == 2 + 1              # 2 initial + 1 flushed
+        assert len(list(part.spill_file.read_all())) == 2 + 1   # 2 initial + 1 flushed
 
     def test_spilled_partition_never_grows(self):
         pool = BufferPool(16)
@@ -98,9 +98,9 @@ class TestNGNS:
         spilled.spilled = True
         resident = filled_partition(1, 3, pool=pool)
         g = NoGrowNoSteal()
-        freed = g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
-                              make_victim("largest-size"), stats, "build", 0)
-        assert freed == 2
+        assert g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
+                             make_victim("largest-size"), stats, "build", 0) is resident
+        assert pool.allocated == 4 - 2
         assert resident.spilled
 
     def test_free_memory_no_candidates_returns_zero(self):
@@ -110,7 +110,8 @@ class TestNGNS:
         spilled.spilled = True
         g = NoGrowNoSteal()
         assert g.free_memory([spilled], VictimContext(0, 1, 1), pool,
-                             make_victim("largest-size"), stats, "build", 0) == 0
+                             make_victim("largest-size"), stats, "build", 0) is None
+        assert pool.allocated == 1
 
 
 class TestGS:
@@ -142,9 +143,9 @@ class TestGS:
         b.spilled = True
         resident = filled_partition(2, 2, pool=pool)
         g = GrowSteal()
-        freed = g.free_memory([a, b, resident], VictimContext(2, 2, 3), pool,
-                              make_victim("largest-size"), stats, "build", 0)
-        assert freed == 3                     # a had 4 frames → keeps 1 buffer
+        assert g.free_memory([a, b, resident], VictimContext(2, 2, 3), pool,
+                             make_victim("largest-size"), stats, "build", 0) is a
+        assert pool.allocated == 8 - 3        # a had 4 frames → keeps 1 buffer
         assert a.num_frames == 1
         assert not resident.spilled           # resident untouched
         assert stats.write_trace[-1].sequential
@@ -156,8 +157,9 @@ class TestGS:
         spilled.spilled = True
         resident = filled_partition(1, 3, pool=pool)
         g = GrowSteal()
-        g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
-                      make_victim("largest-size"), stats, "build", 0)
+        assert g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
+                             make_victim("largest-size"), stats, "build", 0) is resident
+        assert pool.allocated == 4 - 2
         assert resident.spilled
 
 

@@ -52,14 +52,12 @@ class TestCommonBehaviour:
         pol = make_policy(name)
         frames = frames_with_free(10, 10, 10)
         pol.find_frame(frames, 100)
-        assert pol.calls == 1
         assert pol.frames_searched >= 1
 
     def test_reset_stats(self, name):
         pol = make_policy(name)
         pol.find_frame(frames_with_free(500), 100)
         pol.reset_stats()
-        assert pol.calls == 0
         assert pol.frames_searched == 0
 
 

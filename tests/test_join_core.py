@@ -107,6 +107,17 @@ class TestOptimizations:
         assert stats.partitions_spilled > 0
         assert stats.frames_reloaded > 0
 
+    def test_reload_that_does_not_fit_joins_each_record_once(self):
+        # Random(10%) packs the reloaded records into more frames than the
+        # file holds, so a reload that passed the free-memory check runs
+        # out of frames half way; the file still holds every record and
+        # the re-filled frames must be dropped, not written to it again.
+        build = make_records(150, key_range=100, lo=1, hi=400, seed=2, tag="b")
+        probe = make_records(150, key_range=100, lo=1, hi=400, seed=1002, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=8, frame_bytes=1000,
+                                min_partitions=20, insertion="random(10%)")
+        assert stats.frames_reloaded > 0
+
 
 class TestEdgeCases:
     def test_empty_build(self):
@@ -245,17 +256,17 @@ class TestStatsAccounting:
         for q in parts:
             if q.spilled:
                 assert q.in_memory_bytes == 0      # nothing left unflushed
-        spilled_bytes = sum(q.bytes_spilled for q in parts)
+        spilled_bytes = sum(q.spill_file.bytes_written for q in parts if q.spill_file)
         assert spilled_bytes == op.stats.build_bytes_spilled
 
 
 class TestPinnedCounters:
-    """The paper's metrics of two seeded runs, pinned to exact values.
+    """The paper's metrics of three seeded runs, pinned to exact values.
 
     Wall-clock work on the per-record path (batching, hashing, the
     insertion search) must not move any of them: a second search of a
     partition's frames per record, for example, raises ``frames_searched``
-    while the join result stays correct. Both runs are larger than one
+    while the join result stays correct. The runs are larger than one
     input batch, so batch boundaries fall inside every phase.
     """
 
@@ -288,6 +299,24 @@ class TestPinnedCounters:
             total_bytes_spilled=12648529, sequential_write_ops=235,
             random_write_ops=13029, frames_read=14075)
         assert (stats.rounds, stats.bnlj_rounds, stats.role_reversals) == (115, 1, 124)
+        assert os.listdir(tmp_path) == []
+
+    def test_grow_steal_run_with_reload(self, tmp_path):
+        # G-S with a stateful victim (Low-High) and insertion (Next-Fit):
+        # spilled partitions grow and are stolen from, residents spill to
+        # make room for probe buffers, and spilled partitions reload (each
+        # reload fits).
+        build = make_skewed_records(6000, hot_keys=400, lo=100, hi=300, seed=31, tag="b")
+        probe = make_records(6000, key_range=6000, lo=100, hi=300, seed=32, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=16, num_partitions=6,
+                                insertion="next-fit", victim="low-high", growth="g-s",
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert self.counters(stats) == dict(
+            frames_searched=17481, records_processed=36685, hash_probes=7134,
+            total_bytes_spilled=4987638, sequential_write_ops=366,
+            random_write_ops=4120, frames_read=5704)
+        assert (stats.rounds, stats.role_reversals, stats.frames_reloaded,
+                stats.partitions_spilled) == (50, 56, 70, 127)
         assert os.listdir(tmp_path) == []
 
 

@@ -177,3 +177,14 @@ class TestSchemaHandling:
                                num_spark_partitions=2, size_column="sz")
         with pytest.raises(Exception, match="fit one frame"):
             out.collect()
+
+    def test_size_column_in_neither_input_raises(self, spark):
+        # a misspelt size column must not fall back to estimated sizes
+        import pandas as pd
+        a = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "sz": [100, 200]}))
+        b = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "w": ["x", "y"]}))
+        with pytest.raises(ValueError, match="szz"):
+            dynamic_hhj_join(a, b, "k", "k",
+                             HHJConfig(memory_frames=8, frame_bytes=4096,
+                                       num_partitions=4, min_partitions=4),
+                             num_spark_partitions=2, size_column="szz")

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core.stats import JoinStats
-from repro.frames import Partition
+from repro.frames import BufferPool, Partition
 from repro.victim import VictimContext, default_policies, make_policy
 from repro.victim.policies import (
     HalfEmpty,
@@ -134,13 +134,6 @@ class TestLowHigh:
         assert pol.choose(cands, ctx()).pid == 1   # then largest
         assert pol.choose(cands, ctx()).pid == 2   # smallest again
 
-    def test_reset_restarts_with_smallest(self):
-        pol = LowHigh()
-        cands = three_parts()
-        pol.choose(cands, ctx())
-        pol.reset()
-        assert pol.choose(cands, ctx()).pid == 2
-
 
 class TestLeastFragmentation:
     def test_picks_least_fragmented(self):
@@ -174,13 +167,6 @@ class TestRandomVictim:
         assert [a.choose(cands, ctx()).pid for _ in range(10)] == \
                [b.choose(cands, ctx()).pid for _ in range(10)]
 
-    def test_reset_replays_sequence(self):
-        pol = RandomVictim(seed=7)
-        cands = three_parts()
-        first = [pol.choose(cands, ctx()).pid for _ in range(5)]
-        pol.reset()
-        assert [pol.choose(cands, ctx()).pid for _ in range(5)] == first
-
     def test_covers_all_candidates_eventually(self):
         pol = RandomVictim(seed=3)
         cands = three_parts()
@@ -201,7 +187,8 @@ class TestLargestSizeCountsMemoryOnly:
         a = part(0, [900, 900])
         b = part(1, [800])
         # a flushes everything: in-memory drops to 0
-        a.flush_frames(a.frames, JoinStats(1000), "build", 0)
-        a.frames = []
+        pool = BufferPool(4)
+        pool.allocate(a.num_frames)
+        a.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=False)
         pol = LargestSize()
         assert pol.choose([a, b], ctx()).pid == 1
