@@ -18,11 +18,14 @@ operator's input buffer, like AsterixDB's input frame) and routes each
 batch with one ``split_partition`` call; insertion, spilling and probing
 stay record at a time, in input order.
 
-Records are ``(key, size_bytes, payload)`` triples. In *stats-only* use
-(the experiment harnesses) payloads may be ``None``; the operator's
-control flow depends only on keys and sizes, so measurements are
-identical either way. All I/O is accounted in :class:`JoinStats` and the
-actual write trace, which the storage model replays into device times.
+Input records are ``(key, size_bytes, payload)`` triples. ``_admit``
+turns each into the operator's one record tuple, ``(size, key,
+payload)``, which frames, spill files, replays, the hash table and the
+fallback joins all use unchanged. In *stats-only* use (the experiment
+harnesses) payloads may be ``None``; the operator's control flow depends
+only on keys and sizes, so measurements are identical either way. All
+I/O is accounted in :class:`JoinStats` and the actual write trace, which
+the storage model replays into device times.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Opt
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
-from ..frames.spillfile import DiskSpillFile, MemorySpillFile, SpillFile
+from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record, SpillFile
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy
@@ -44,7 +47,8 @@ from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
 from .stats import JoinStats
 
-Record = Tuple[Any, int, Any]
+#: an input record: ``(key, size_bytes, payload)``
+InputRecord = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
 
 #: §8.1: a later round whose build input is not at least this share smaller
@@ -57,14 +61,25 @@ MAX_LEVELS = 30
 #: budget.
 BATCH_RECORDS = 4096
 
-_key = itemgetter(0)
+_size = itemgetter(0)
+_key = itemgetter(1)
 
 
-def _batches(records: Iterable[Record]) -> Iterator[List[Record]]:
+def _batches(records: Iterable[Any]) -> Iterator[List[Any]]:
     """``records`` in lists of up to ``BATCH_RECORDS``, in order."""
     it = iter(records)
     while batch := list(islice(it, BATCH_RECORDS)):
         yield batch
+
+
+def _canonical(key: Any) -> Any:
+    """``key`` as the plain Python value it equals: a numpy scalar's
+    ``item()``, and an integral float as an int."""
+    if hasattr(key, "item"):
+        key = key.item()
+    if isinstance(key, float) and key.is_integer():
+        key = int(key)
+    return key
 
 
 @dataclass
@@ -85,6 +100,8 @@ class HHJConfig:
     def __post_init__(self) -> None:
         if self.memory_frames < 3:
             raise ValueError("Dynamic HHJ needs >= 3 memory frames")
+        if self.frame_bytes <= 0:
+            raise ValueError(f"frame_bytes must be positive, got {self.frame_bytes}")
         if self.num_partitions is not None and not (
             2 <= self.num_partitions <= self.memory_frames
         ):
@@ -116,8 +133,9 @@ class DynamicHybridHashJoin:
         return [Partition(pid, self.cfg.frame_bytes, factory, new_policy(pid))
                 for pid in range(p)]
 
-    def _admit(self, records: Iterable[Record]) -> Iterator[Record]:
-        """Every input record enters the operator here, exactly once.
+    def _admit(self, records: Iterable[InputRecord]) -> Iterator[Record]:
+        """Every input record enters the operator here, exactly once, as
+        a ``(size, key, payload)`` record built one input batch at a time.
 
         The operator's only key canonicalisation (1, 1.0 and np.int64(1)
         all join together) and its only record-size check, for both
@@ -125,29 +143,29 @@ class DynamicHybridHashJoin:
         reload and the fallback joins never redo either.
         """
         fb = self.cfg.frame_bytes
-        for key, size, payload in records:
-            if not 0 < size <= fb:
-                raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
-                                 "records must be non-empty and fit one frame")
-            if type(key) is not int:     # plain ints, the common case, are canonical
-                if hasattr(key, "item"):
-                    key = key.item()
-                if isinstance(key, float) and key.is_integer():
-                    key = int(key)
-            yield key, size, payload
+        for batch in _batches(records):
+            admitted = [(size, key if type(key) is int else _canonical(key), payload)
+                        for key, size, payload in batch]
+            for size in map(_size, admitted):
+                if not 0 < size <= fb:
+                    raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
+                                     "records must be non-empty and fit one frame")
+            yield from admitted
 
     # -- public API ------------------------------------------------------
-    def run(self, build: Iterable[Record], probe: Iterable[Record]) -> Iterator[Pair]:
+    def run(self, build: Iterable[InputRecord],
+            probe: Iterable[InputRecord]) -> Iterator[Pair]:
         """Execute the join lazily: an iterator of (build_payload,
         probe_payload) pairs."""
         return self._round(self._admit(build), self._admit(probe), level=0,
                            build_frames=None, parent_build_frames=None,
                            swapped=False)
 
-    def run_collect(self, build: Iterable[Record], probe: Iterable[Record]) -> List[Pair]:
+    def run_collect(self, build: Iterable[InputRecord],
+                    probe: Iterable[InputRecord]) -> List[Pair]:
         return list(self.run(build, probe))
 
-    def build_only(self, build: Iterable[Record]) -> List[Partition]:
+    def build_only(self, build: Iterable[InputRecord]) -> List[Partition]:
         """Run just the round-0 build phase (victim/growth experiments).
 
         Includes the end-of-build flush of spilled partitions so the
@@ -194,14 +212,12 @@ class DynamicHybridHashJoin:
             build_bytes = 0
             for batch in _batches(build):
                 self.stats.records_processed += len(batch)
+                build_bytes += sum(map(_size, batch))
                 pids = split_partition(list(map(_key, batch)), p, level)
-                for (key, size, payload), pid in zip(batch, pids):
-                    build_bytes += size
+                for rec, pid in zip(batch, pids):
                     part = partitions[pid]
-                    if part.spilled or not part.place(size, (key, payload), pool,
-                                                      make_room):
-                        self._insert_spilled(size, (key, payload), part,
-                                             partitions, pool, level)
+                    if part.spilled or not part.place(rec, pool, make_room):
+                        self._insert_spilled(rec, part, partitions, pool, level)
             # every spilled partition's leftover frames go to disk
             for q in partitions:
                 if q.spilled:
@@ -251,21 +267,21 @@ class DynamicHybridHashJoin:
             table = self._hash_table(resident)
 
             # ---------------- probe phase ----------------
-            # one output buffer per spilled partition, reserved above
+            # one output buffer per spilled partition, reserved above and
+            # allocated on its first record
             new_file = self._spill_file_factory()
             for q in spilled:
-                pool.allocate(1)
                 probe_parts[q.pid] = Partition(q.pid, cfg.frame_bytes, new_file)
-                probe_parts[q.pid].new_frame()
             for batch in _batches(probe):
                 stats.records_processed += len(batch)
                 pids = split_partition(list(map(_key, batch)), p, level)
-                for (key, size, payload), pid in zip(batch, pids):
+                for rec, pid in zip(batch, pids):
                     pp = probe_parts.get(pid)
                     if pp is not None:
-                        pp.append_buffered(size, (key, payload), stats, "probe", level)
+                        pp.append_buffered(rec, pool, stats, "probe", level)
                     else:
                         stats.hash_probes += 1
+                        _, key, payload = rec
                         for bpayload in table.get(key, ()):
                             yield (bpayload, payload) if not swapped else (payload, bpayload)
             for pp in probe_parts.values():
@@ -282,8 +298,8 @@ class DynamicHybridHashJoin:
                 b_frames = bfile.frames_written if bfile else 0
                 p_frames = pfile.frames_written if pfile else 0
                 if b_frames and p_frames:
-                    child_build = self._spill_records(bfile)
-                    child_probe = self._spill_records(pfile)
+                    child_build = bfile.replay(stats)
+                    child_probe = pfile.replay(stats)
                     child_bf, child_swapped = b_frames, swapped
                     # §8.2 role reversal: the smaller side builds.
                     if p_frames < b_frames:
@@ -301,25 +317,12 @@ class DynamicHybridHashJoin:
             for q in [*partitions, *probe_parts.values()]:
                 q.close()
 
-    def _spill_records(self, spill_file: SpillFile) -> Iterator[Record]:
-        """Replay a spill file as (key, size, payload) records, its read
-        charged now.
-
-        Frames store records as ``(size, (key, payload))`` — the key is
-        retained in the stored payload exactly so spilled data can be
-        re-partitioned in later rounds.
-        """
-        return ((key, size, payload)
-                for size, (key, payload) in spill_file.replay(self.stats))
-
     # -- memory pressure -------------------------------------------------
-    def _insert_spilled(self, size: int, stored: Tuple[Any, Any], part: Partition,
+    def _insert_spilled(self, rec: Record, part: Partition,
                         partitions: List[Partition], pool: BufferPool,
                         level: int) -> None:
-        """Insert one build record, ``stored`` = (key, payload), into
-        spilled ``part``: spill files must retain the key for
-        re-partitioning."""
-        while not self.growth.insert_into_spilled(part, size, stored, pool,
+        """Insert one build record into spilled ``part``."""
+        while not self.growth.insert_into_spilled(part, rec, pool,
                                                   self.stats, "build", level):
             if self._free_memory(partitions, part, pool, level) is not None:
                 continue
@@ -348,8 +351,7 @@ class DynamicHybridHashJoin:
             if need * TABLE1_FUDGE > pool.free:
                 continue
             self.stats.frames_reloaded += need
-            if all(q.place(size, stored, pool)
-                   for size, stored in q.spill_file.replay(self.stats)):
+            if all(q.place(rec, pool) for rec in q.spill_file.replay(self.stats)):
                 q.spilled = False
                 q.spill_file.close()
                 q.spill_file = None
@@ -375,7 +377,7 @@ class DynamicHybridHashJoin:
         table: dict = {}
         for q in resident:
             for f in q.frames:
-                for _, (key, payload) in f.records:
+                for _, key, payload in f:
                     table.setdefault(key, []).append(payload)
         return table
 
@@ -391,7 +393,7 @@ class DynamicHybridHashJoin:
         """Join ``probe`` against ``table`` (key → build payloads), the
         pairs oriented for ``swapped``; returns the probe records seen."""
         n = 0
-        for key, _size, payload in probe:
+        for _size, key, payload in probe:
             n += 1
             for bpayload in table.get(key, ()):
                 yield (bpayload, payload) if not swapped else (payload, bpayload)
@@ -402,7 +404,7 @@ class DynamicHybridHashJoin:
         """§8.3: skip partitioning, hash the whole build input directly."""
         self.stats.in_memory_rounds += 1
         table: dict = {}
-        for key, _size, payload in build:
+        for _size, key, payload in build:
             self.stats.records_processed += 1
             table.setdefault(key, []).append(payload)
         n = yield from self._probe_table(table, probe, swapped)
@@ -425,7 +427,7 @@ class DynamicHybridHashJoin:
         probe_cache: List[Record] = list(probe)
         block: dict = {}
         used = 0
-        for key, size, payload in build:
+        for size, key, payload in build:
             self.stats.records_processed += 1
             if used + size > block_bytes and block:
                 self.stats.comparisons += yield from self._probe_table(

@@ -1,12 +1,11 @@
 """Frame-based memory substrate (AsterixDB-style) for the Dynamic HHJ."""
-from .frame import DEFAULT_FRAME_BYTES, Frame
+from .frame import DEFAULT_FRAME_BYTES
 from .partition import Partition
 from .pool import BufferPool
 from .spillfile import DiskSpillFile, MemorySpillFile
 
 __all__ = [
     "DEFAULT_FRAME_BYTES",
-    "Frame",
     "Partition",
     "BufferPool",
     "DiskSpillFile",

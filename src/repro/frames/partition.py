@@ -5,17 +5,23 @@ array of frames (oldest first, newest last) and the §5 insertion policy
 that searches it; when the partition spills it gains a spill file and —
 under NG-NS — is reduced to a single output buffer frame.
 
+A frame is two entries at one index: ``frames[i]``, the list of its
+``(size, key, payload)`` records, and ``free[i]``, its free bytes. The
+insertion policy searches ``free`` alone. :meth:`place`,
+:meth:`append_buffered`, :meth:`write_out`, :meth:`drop_frames` and
+:meth:`close` are the only code that changes either list, so
+``free[i] == frame_bytes - Σ size`` over ``frames[i]`` always holds.
+
 The partition places its records within the operator's
 :class:`~repro.frames.pool.BufferPool` and writes its own frames out;
 which partition spills, and when, is the growth policy's decision.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..insertion.policies import AppendN, InsertionPolicy
-from .frame import Frame
-from .spillfile import MemorySpillFile, SpillFile
+from .spillfile import MemorySpillFile, Record, SpillFile
 
 if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
@@ -28,9 +34,14 @@ class Partition:
     def __init__(self, pid: int, frame_bytes: int,
                  spill_file_factory: Callable[[], SpillFile] = MemorySpillFile,
                  insertion: Optional[InsertionPolicy] = None) -> None:
+        if frame_bytes <= 0:
+            raise ValueError(f"frame_bytes must be positive, got {frame_bytes}")
         self.pid = pid
         self.frame_bytes = frame_bytes
-        self.frames: List[Frame] = []
+        #: the records of each in-memory frame, oldest frame first
+        self.frames: List[List[Record]] = []
+        #: free bytes of each in-memory frame, index for index with ``frames``
+        self.free: List[int] = []
         self.spilled = False
         #: created on the first write
         self.spill_file: Optional[SpillFile] = None
@@ -45,57 +56,61 @@ class Partition:
 
     @property
     def in_memory_bytes(self) -> int:
-        return sum(f.used for f in self.frames)
+        return self.frame_bytes * len(self.free) - sum(self.free)
 
     @property
     def in_memory_records(self) -> int:
-        return sum(len(f) for f in self.frames)
+        return sum(map(len, self.frames))
 
     @property
     def fragmentation_bytes(self) -> int:
         """Total free space inside allocated frames (paper's Least-Fragmentation metric)."""
-        return sum(f.free for f in self.frames)
+        return sum(self.free)
 
     # -- placing records -------------------------------------------------
-    def new_frame(self) -> Frame:
-        """Append a freshly allocated frame (caller must hold a pool grant)."""
-        f = Frame(self.frame_bytes)
-        self.frames.append(f)
-        return f
-
-    def place(self, size: int, payload: Any, pool: "BufferPool",
+    def place(self, rec: Record, pool: "BufferPool",
               make_room: Optional[Callable[["Partition"], bool]] = None) -> bool:
-        """Place a record in the frame the insertion policy finds, else in
+        """Place ``rec`` in the frame the insertion policy finds, else in
         a new frame ``pool`` funds.
 
         The frames are searched once. While the pool is full,
         ``make_room(self)`` may free frames; it returns False to give up.
         Returns False when the record was not placed.
         """
-        if self.frames:
-            idx = self.insertion.find_frame(self.frames, size)
+        size = rec[0]
+        free = self.free
+        if free:
+            idx = self.insertion.find_frame(free, size)
             if idx is not None:
-                self.frames[idx].insert(size, payload)
+                self.frames[idx].append(rec)
+                free[idx] -= size
                 self.insertion.notify_inserted(idx, size, appended=False)
                 return True
         while not pool.can_allocate(1):
             if make_room is None or not make_room(self):
                 return False
         pool.allocate(1)
-        self.new_frame().insert(size, payload)
-        self.insertion.notify_inserted(len(self.frames) - 1, size, appended=True)
+        self.frames.append([rec])
+        self.free.append(self.frame_bytes - size)
+        self.insertion.notify_inserted(len(self.free) - 1, size, appended=True)
         return True
 
-    def append_buffered(self, size: int, payload: Any, stats: "JoinStats",
+    def append_buffered(self, rec: Record, pool: "BufferPool", stats: "JoinStats",
                         phase: "Phase", round_no: int) -> None:
-        """Add a record to the partition's one output-buffer frame; when
-        it does not fit, the buffer first goes to disk as a single-frame
-        (random) write (§6.1)."""
-        buf = self.frames[0]
-        if not buf.fits(size):
-            self._write([buf], stats, phase, round_no)
-            buf.clear()
-        buf.insert(size, payload)
+        """Add ``rec`` to the partition's one output-buffer frame, which
+        ``pool`` funds on first use; when it does not fit, the buffer
+        first goes to disk as a single-frame (random) write (§6.1)."""
+        if not self.frames:
+            pool.allocate(1)
+            self.frames.append([])
+            self.free.append(self.frame_bytes)
+        size = rec[0]
+        if size > self.free[0]:
+            self._write([self.frames[0]], stats, phase, round_no)
+            self.frames[0] = []
+            self.free[0] = self.frame_bytes
+        self.frames[0].append(rec)
+        self.free[0] -= size
 
     # -- writing out -----------------------------------------------------
     def write_out(self, pool: "BufferPool", stats: "JoinStats", phase: "Phase",
@@ -106,16 +121,14 @@ class Partition:
         n = self.num_frames
         if n == 0:
             return 0
-        nonempty = [f for f in self.frames if f.used > 0]
+        nonempty = [f for f in self.frames if f]
         if nonempty:
             self._write(nonempty, stats, phase, round_no)
         if keep_buffer:
-            buffer = self.frames[-1]
-            buffer.clear()
-            self.frames = [buffer]
+            self.frames, self.free = [[]], [self.frame_bytes]
             n -= 1
         else:
-            self.frames = []
+            self.frames, self.free = [], []
         pool.release(n)
         return n
 
@@ -123,10 +136,10 @@ class Partition:
         """Release every frame without writing it: its records are
         already in the spill file."""
         pool.release(self.num_frames)
-        self.frames = []
+        self.frames, self.free = [], []
         self.insertion.notify_spilled()
 
-    def _write(self, frames: List[Frame], stats: "JoinStats", phase: "Phase",
+    def _write(self, frames: List[List[Record]], stats: "JoinStats", phase: "Phase",
                round_no: int) -> None:
         if self.spill_file is None:
             self.spill_file = self._spill_file_factory()
@@ -136,4 +149,4 @@ class Partition:
         if self.spill_file is not None:
             self.spill_file.close()
             self.spill_file = None
-        self.frames = []
+        self.frames, self.free = [], []

@@ -24,9 +24,13 @@ from typing import TYPE_CHECKING, Any, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
-    from .frame import Frame
 
-Record = Tuple[int, Any]  # (size, payload), as frames hold them
+#: ``(size, key, payload)``: the one record layout from the operator's
+#: input to frames, spill files and replay. The size comes first so a
+#: frame's bytes are ``sum(r[0] for r in records)`` whatever the key and
+#: payload hold, and the key travels with the record so spilled data can
+#: be re-partitioned in later rounds.
+Record = Tuple[int, Any, Any]
 
 
 class SpillFile:
@@ -42,16 +46,17 @@ class SpillFile:
     def read_all(self) -> Iterator[Record]:
         raise NotImplementedError
 
-    def write_frames(self, frames: Sequence["Frame"], stats: "JoinStats",
+    def write_frames(self, frames: Sequence[Sequence[Record]], stats: "JoinStats",
                      phase: "Phase", pid: int, round_no: int) -> None:
-        """Write ``frames`` as one write op of partition ``pid``.
+        """Write ``frames`` (each a list of records) as one write op of
+        partition ``pid``.
 
         The only place a write is recorded in ``stats``, from this file's
         own counters, so the two cannot drift apart.
         """
         frames0, bytes0 = self.frames_written, self.bytes_written
         for f in frames:
-            self.write_frame(f.records)
+            self.write_frame(f)
         stats.record_write(self.frames_written - frames0,
                            self.bytes_written - bytes0, phase, pid, round_no)
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..frames.partition import Partition
 from ..frames.pool import BufferPool
+from ..frames.spillfile import Record
 from ..victim.policies import VictimContext, VictimPolicy
 
 if TYPE_CHECKING:
@@ -62,10 +63,10 @@ class GrowthPolicy:
         return part.write_out(pool, stats, phase, round_no, keep_buffer)
 
     # -- hooks the operator calls ---------------------------------------
-    def insert_into_spilled(self, part: Partition, size: int, payload,
+    def insert_into_spilled(self, part: Partition, rec: Record,
                             pool: BufferPool, stats: JoinStats,
                             phase: Phase, round_no: int) -> bool:
-        """Insert a record routed to an already-spilled partition.
+        """Insert ``rec`` routed to an already-spilled partition.
 
         Returns True on success; False means memory pressure (caller must
         free memory and retry — only possible under G-S).
@@ -96,15 +97,11 @@ class NoGrowNoSteal(GrowthPolicy):
 
     name = "ng-ns"
 
-    def insert_into_spilled(self, part, size, payload, pool, stats,
-                            phase, round_no) -> bool:
-        if part.num_frames == 0:
-            if not pool.can_allocate(1):
-                return False
-            pool.allocate(1)
-            part.new_frame()
-        assert part.num_frames == 1, "NG-NS invariant: one buffer per spilled partition"
-        part.append_buffered(size, payload, stats, phase, round_no)
+    def insert_into_spilled(self, part, rec, pool, stats, phase, round_no) -> bool:
+        if part.num_frames == 0 and not pool.can_allocate(1):
+            return False
+        assert part.num_frames <= 1, "NG-NS invariant: one buffer per spilled partition"
+        part.append_buffered(rec, pool, stats, phase, round_no)
         return True
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
@@ -118,9 +115,8 @@ class GrowSteal(GrowthPolicy):
 
     name = "g-s"
 
-    def insert_into_spilled(self, part, size, payload, pool, stats,
-                            phase, round_no) -> bool:
-        return part.place(size, payload, pool)
+    def insert_into_spilled(self, part, rec, pool, stats, phase, round_no) -> bool:
+        return part.place(rec, pool)
 
     def free_memory(self, partitions, ctx, pool, victim, stats,
                     phase, round_no) -> Optional[Partition]:

@@ -1,12 +1,14 @@
 """Partition-insertion algorithms (paper §5).
 
-Each policy answers: *given a partition's in-memory frame array and an
-incoming record size, which frame should hold the record?* Returning
-``None`` means "no searched frame fits — allocate a new frame".
+Each policy answers: *given the free bytes of each of a partition's
+in-memory frames and an incoming record size, which frame should hold
+the record?* Returning ``None`` means "no searched frame fits — allocate
+a new frame".
 
-All searches run over the partition's frame array with index 0 the
+All searches run over the partition's free-byte list with index 0 the
 oldest frame and index −1 the newest, matching the paper's "search starts
-from the newest allocated frame and proceeds towards the oldest".
+from the newest allocated frame and proceeds towards the oldest". A
+frame fits a record when ``free[i] >= size``.
 
 Every policy counts the frames it inspects (``frames_searched``) because
 the paper's efficiency metric is exactly that count (Figs 6–8) and the
@@ -16,10 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:
-    from ..frames.frame import Frame
+from typing import List, Optional
 
 
 class InsertionPolicy:
@@ -33,8 +32,8 @@ class InsertionPolicy:
     def reset_stats(self) -> None:
         self.frames_searched = 0
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        """Index of a frame that fits ``size`` bytes, or None to allocate."""
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        """Index of a frame with ``size`` bytes free, or None to allocate."""
         raise NotImplementedError
 
     def notify_inserted(self, index: int, size: int, appended: bool) -> None:
@@ -42,6 +41,16 @@ class InsertionPolicy:
 
     def notify_spilled(self) -> None:
         """Hook: the partition's frame array was truncated by a spill."""
+
+    def _newest_first(self, free: List[int], size: int, lo: int) -> Optional[int]:
+        """Scan ``free[lo:]`` newest→oldest for the first frame that fits,
+        counting each frame inspected."""
+        for i in range(len(free) - 1, lo - 1, -1):
+            if free[i] >= size:
+                self.frames_searched += len(free) - i
+                return i
+        self.frames_searched += len(free) - lo
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
@@ -57,13 +66,8 @@ class AppendN(InsertionPolicy):
         self.n = n
         self.name = f"append({n})"
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        lo = max(0, len(frames) - self.n)
-        for i in range(len(frames) - 1, lo - 1, -1):
-            self.frames_searched += 1
-            if frames[i].fits(size):
-                return i
-        return None
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        return self._newest_first(free, size, max(0, len(free) - self.n))
 
 
 class FirstFit(InsertionPolicy):
@@ -71,12 +75,8 @@ class FirstFit(InsertionPolicy):
 
     name = "first-fit"
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        for i in range(len(frames) - 1, -1, -1):
-            self.frames_searched += 1
-            if frames[i].fits(size):
-                return i
-        return None
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        return self._newest_first(free, size, 0)
 
 
 class FirstFitPct(InsertionPolicy):
@@ -89,14 +89,9 @@ class FirstFitPct(InsertionPolicy):
         self.pct = pct
         self.name = f"first-fit({int(pct * 100)}%)"
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        limit = math.ceil(self.pct * len(frames))
-        lo = max(0, len(frames) - limit)
-        for i in range(len(frames) - 1, lo - 1, -1):
-            self.frames_searched += 1
-            if frames[i].fits(size):
-                return i
-        return None
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        limit = math.ceil(self.pct * len(free))
+        return self._newest_first(free, size, max(0, len(free) - limit))
 
 
 class BestFit(InsertionPolicy):
@@ -104,16 +99,18 @@ class BestFit(InsertionPolicy):
 
     name = "best-fit"
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        n = len(free)
         best_i: Optional[int] = None
         best_free = None
-        for i in range(len(frames) - 1, -1, -1):
-            self.frames_searched += 1
-            free = frames[i].free
-            if free >= size and (best_free is None or free < best_free):
-                best_i, best_free = i, free
-                if free == size:  # cannot do better than an exact fit
-                    break
+        for i in range(n - 1, -1, -1):
+            f = free[i]
+            if f >= size and (best_free is None or f < best_free):
+                best_i, best_free = i, f
+                if f == size:  # cannot do better than an exact fit
+                    self.frames_searched += n - i
+                    return i
+        self.frames_searched += n
         return best_i
 
 
@@ -148,29 +145,29 @@ class NextFit(InsertionPolicy):
         self._last_index = None
         self._last_size = None
 
-    def _scan(self, frames: List[Frame], size: int, start: int, step: int) -> Optional[int]:
+    def _scan(self, free: List[int], size: int, start: int, step: int) -> Optional[int]:
         i = start
-        while 0 <= i < len(frames):
+        while 0 <= i < len(free):
             self.frames_searched += 1
-            if frames[i].fits(size):
+            if free[i] >= size:
                 return i
             i += step
         return None
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        if not frames:
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        if not free:
             return None
-        if self._last_index is None or self._last_index >= len(frames):
+        if self._last_index is None or self._last_index >= len(free):
             # first record (or state invalidated): newest → oldest
-            return self._scan(frames, size, len(frames) - 1, -1)
+            return self._scan(free, size, len(free) - 1, -1)
         start = self._last_index
         if self._last_size is not None and size > self._last_size:
-            return self._scan(frames, size, start, +1)
-        hit = self._scan(frames, size, start, -1)
+            return self._scan(free, size, start, +1)
+        hit = self._scan(free, size, start, -1)
         if hit is not None:
             return hit
-        if start + 1 < len(frames):
-            return self._scan(frames, size, start + 1, +1)
+        if start + 1 < len(free):
+            return self._scan(free, size, start + 1, +1)
         return None
 
 
@@ -185,13 +182,13 @@ class RandomPct(InsertionPolicy):
         self.rng = random.Random(seed)   # the operator seeds it with the pid
         self.name = f"random({int(pct * 100)}%)"
 
-    def find_frame(self, frames: List[Frame], size: int) -> Optional[int]:
-        if not frames:
+    def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        if not free:
             return None
-        k = min(len(frames), math.ceil(self.pct * len(frames)))
-        for i in self.rng.sample(range(len(frames)), k):
+        k = min(len(free), math.ceil(self.pct * len(free)))
+        for i in self.rng.sample(range(len(free)), k):
             self.frames_searched += 1
-            if frames[i].fits(size):
+            if free[i] >= size:
                 return i
         return None
 

@@ -1,75 +1,94 @@
-"""Unit tests for the frame substrate: Frame, Partition, BufferPool, spill files."""
+"""Unit tests for the frame substrate: Partition, BufferPool, spill files."""
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.join import DynamicHybridHashJoin, HHJConfig
 from repro.core.stats import JoinStats
 from repro.frames import (
     DEFAULT_FRAME_BYTES,
     BufferPool,
     DiskSpillFile,
-    Frame,
     MemorySpillFile,
     Partition,
 )
+from repro.growth import GrowSteal
+from repro.insertion import default_policies, make_policy
+from repro.victim import VictimContext, make_policy as make_victim
+
+from tests.util import assert_free_list_invariant
+
+
+def placed(cap, *sizes, pool=None):
+    """A partition of ``cap``-byte frames holding records of ``sizes``,
+    placed by its default insertion policy (Append(8))."""
+    p = Partition(0, cap)
+    pool = pool if pool is not None else BufferPool(max(3, len(sizes)))
+    for i, size in enumerate(sizes):
+        assert p.place((size, i, f"r{i}"), pool)
+    return p
 
 
 class TestFrame:
+    """A frame is a partition's ``frames[i]`` (its records) plus
+    ``free[i]`` (its free bytes)."""
+
     def test_default_capacity(self):
-        assert Frame().capacity == DEFAULT_FRAME_BYTES == 32 * 1024
+        assert DEFAULT_FRAME_BYTES == 32 * 1024
+        assert placed(DEFAULT_FRAME_BYTES, 1).free == [DEFAULT_FRAME_BYTES - 1]
 
     @pytest.mark.parametrize("cap", [1, 100, 4096, 32768])
     def test_fresh_frame_is_empty(self, cap):
-        f = Frame(cap)
-        assert f.used == 0
-        assert f.free == cap
-        assert len(f) == 0
+        # a spilled partition's output buffer is a fresh frame
+        pool = BufferPool(3)
+        p = placed(cap, cap, pool=pool)
+        p.write_out(pool, JoinStats(cap), "build", 0, keep_buffer=True)
+        assert p.frames == [[]]
+        assert p.free == [cap]
+        assert p.in_memory_bytes == 0 and p.in_memory_records == 0
 
     @pytest.mark.parametrize("cap", [0, -1, -32768])
     def test_invalid_capacity_rejected(self, cap):
-        with pytest.raises(ValueError):
-            Frame(cap)
+        with pytest.raises(ValueError, match="frame_bytes must be positive"):
+            Partition(0, cap)
 
     def test_insert_updates_accounting(self):
-        f = Frame(1000)
-        f.insert(400, "a")
-        assert f.used == 400
-        assert f.free == 600
-        assert f.records == [(400, "a")]
+        p = placed(1000, 400)
+        assert p.in_memory_bytes == 400
+        assert p.free == [600]
+        assert p.frames == [[(400, 0, "r0")]]
 
     def test_insert_multiple(self):
-        f = Frame(1000)
-        f.insert(300, "a")
-        f.insert(300, "b")
-        f.insert(400, "c")
-        assert f.used == 1000
-        assert f.free == 0
-        assert len(f) == 3
+        p = placed(1000, 300, 300, 400)
+        assert p.num_frames == 1
+        assert p.in_memory_bytes == 1000
+        assert p.free == [0]
+        assert p.in_memory_records == 3
 
     def test_fits_boundary(self):
-        f = Frame(1000)
-        f.insert(400)
-        assert f.fits(600)
-        assert not f.fits(601)
+        assert placed(1000, 400, 600).num_frames == 1
+        assert placed(1000, 400, 601).num_frames == 2
 
-    def test_insert_overflow_raises(self):
-        f = Frame(1000)
-        f.insert(900)
-        with pytest.raises(ValueError):
-            f.insert(200)
+    def test_record_that_does_not_fit_takes_a_new_frame(self):
+        p = placed(1000, 900, 200)
+        assert p.free == [100, 800]
+        assert [len(f) for f in p.frames] == [1, 1]
 
     @pytest.mark.parametrize("size", [0, -5])
     def test_nonpositive_record_rejected(self, size):
-        with pytest.raises(ValueError):
-            Frame(1000).insert(size)
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=8, frame_bytes=1000))
+        with pytest.raises(ValueError, match="fit one frame"):
+            op.build_only([(1, size, "x")])
 
     def test_clear(self):
-        f = Frame(1000)
-        f.insert(500, "x")
-        f.clear()
-        assert f.used == 0
-        assert f.records == []
-        assert f.fits(1000)
+        pool = BufferPool(3)
+        p = placed(1000, 500, pool=pool)
+        p.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=True)
+        assert p.frames == [[]]
+        assert p.free == [1000]
+        assert p.place((1000, 0, "x"), pool) and p.num_frames == 1
 
 
 class TestBufferPool:
@@ -113,39 +132,30 @@ class TestPartition:
         assert p.in_memory_records == 0
         assert not p.spilled
 
-    def test_new_frame_and_counters(self):
-        p = Partition(0, 1000)
-        f = p.new_frame()
-        f.insert(600, "a")
-        f2 = p.new_frame()
-        f2.insert(300, "b")
+    def test_place_and_counters(self):
+        p = placed(1000, 600, 500)
         assert p.num_frames == 2
-        assert p.in_memory_bytes == 900
+        assert p.in_memory_bytes == 1100
         assert p.in_memory_records == 2
-        assert p.fragmentation_bytes == (1000 - 600) + (1000 - 300)
+        assert p.fragmentation_bytes == (1000 - 600) + (1000 - 500)
 
     def test_flush_frames_moves_to_spill_file(self):
-        p = Partition(0, 1000)
         pool = BufferPool(4)
-        pool.allocate(1)
-        f = p.new_frame()
-        f.insert(500, "a")
-        f.insert(400, "b")
+        p = placed(1000, 500, 400, pool=pool)
         stats = JoinStats(1000)
         freed = p.write_out(pool, stats, "build", 0, keep_buffer=False)
-        assert freed == 1 and pool.allocated == 0 and p.frames == []
+        assert freed == 1 and pool.allocated == 0 and p.frames == [] and p.free == []
         assert stats.build_bytes_spilled == 900
         assert p.spill_file.bytes_written == 900
         assert p.spill_file.frames_written == 1
-        assert list(p.spill_file.read_all()) == [(500, "a"), (400, "b")]
+        assert list(p.spill_file.read_all()) == [(500, 0, "r0"), (400, 1, "r1")]
 
     def test_totals_combine_memory_and_spill(self):
-        p = Partition(0, 1000)
         pool = BufferPool(4)
-        pool.allocate(1)
-        p.new_frame().insert(500, "a")
-        p.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=True)
-        p.frames[0].insert(200, "b")
+        p = placed(1000, 500, pool=pool)
+        stats = JoinStats(1000)
+        p.write_out(pool, stats, "build", 0, keep_buffer=True)
+        p.append_buffered((200, 1, "b"), pool, stats, "build", 0)
         assert p.in_memory_records + len(list(p.spill_file.read_all())) == 2
         assert p.in_memory_bytes + p.spill_file.bytes_written == 700
 
@@ -154,18 +164,18 @@ class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_roundtrip(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k1", "a")), (200, ("k2", "b"))])
-        sf.write_frame([(300, ("k3", "c"))])
+        sf.write_frame([(100, "k1", "a"), (200, "k2", "b")])
+        sf.write_frame([(300, "k3", "c")])
         assert sf.frames_written == 2
         assert sf.bytes_written == 600
         assert list(sf.read_all()) == [
-            (100, ("k1", "a")), (200, ("k2", "b")), (300, ("k3", "c"))]
+            (100, "k1", "a"), (200, "k2", "b"), (300, "k3", "c")]
         sf.close()
 
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_read_all_is_repeatable(self, factory):
         sf = factory()
-        sf.write_frame([(100, ("k", "v"))])
+        sf.write_frame([(100, "k", "v")])
         assert list(sf.read_all()) == list(sf.read_all())
         sf.close()
 
@@ -181,3 +191,59 @@ class TestSpillFiles:
             sf = factory()
             assert list(sf.read_all()) == []
             sf.close()
+
+
+CAP = 1000
+PIDS = st.integers(0, 3)
+SIZES = st.integers(1, CAP)
+STEPS = st.one_of(
+    st.tuples(st.just("place"), PIDS, SIZES, st.booleans()),   # with make_room?
+    st.tuples(st.just("append_buffered"), PIDS, SIZES),
+    st.tuples(st.just("write_out"), PIDS, st.booleans()),      # keep_buffer?
+    st.tuples(st.just("drop_frames"), PIDS),
+    st.tuples(st.just("gs_flush"), PIDS),
+    st.tuples(st.just("gs_free_memory"), PIDS),
+)
+
+
+class TestFreeListInvariant:
+    """Every change to a partition's frames keeps ``free`` in step with
+    the records, and the pool funds exactly the frames held."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 12), st.lists(st.sampled_from(sorted(default_policies())),
+                                        min_size=4, max_size=4),
+           st.lists(STEPS, max_size=120))
+    def test_random_steps_keep_the_invariant(self, budget, policies, steps):
+        pool, stats = BufferPool(budget), JoinStats(CAP)
+        parts = [Partition(pid, CAP, insertion=make_policy(name, seed=pid))
+                 for pid, name in enumerate(policies)]
+        gs, victim = GrowSteal(), make_victim("largest-size")
+
+        def free_memory(part):
+            ctx = VictimContext(part.pid, sum(q.spilled for q in parts), len(parts))
+            return gs.free_memory(parts, ctx, pool, victim, stats, "build", 0)
+
+        def make_room(part):
+            return free_memory(part) is not None and not part.spilled
+
+        for n, (op, pid, *args) in enumerate(steps):
+            part = parts[pid]
+            rec = (args[0], n, f"r{n}") if op in ("place", "append_buffered") else None
+            if op == "place":
+                part.place(rec, pool, make_room if args[1] else None)
+            elif op == "append_buffered":
+                if part.num_frames == 1 or (part.num_frames == 0 and pool.can_allocate(1)):
+                    part.append_buffered(rec, pool, stats, "build", 0)
+            elif op == "write_out":
+                part.write_out(pool, stats, "build", 0, keep_buffer=args[0])
+            elif op == "drop_frames":
+                part.drop_frames(pool)
+            elif op == "gs_flush":
+                gs.flush_spilled(part, pool, stats, "build", 0)
+            else:
+                free_memory(part)
+            assert_free_list_invariant(parts, pool)
+        for q in parts:
+            q.close()
+        assert_free_list_invariant(parts)

@@ -10,12 +10,11 @@ from repro.victim import VictimContext, make_policy as make_victim
 CAP = 1000
 
 
-def filled_partition(pid, n_frames, bytes_per_frame=800, pool=None):
+def filled_partition(pid, n_frames, pool, bytes_per_frame=800):
     p = Partition(pid, CAP, insertion=AppendN(8))
     for _ in range(n_frames):
-        if pool is not None:
-            pool.allocate(1)
-        p.new_frame().insert(bytes_per_frame)
+        assert p.place((bytes_per_frame, None, None), pool)
+    assert p.num_frames == n_frames
     return p
 
 
@@ -33,13 +32,13 @@ class TestInitialSpill:
     def test_writes_one_sequential_chunk_and_keeps_buffer(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 5, pool=pool)
+        part = filled_partition(0, 5, pool)
         g = NoGrowNoSteal()
         freed = g.initial_spill(part, pool, stats, "build", 0)
         assert freed == 4
         assert part.spilled
         assert part.num_frames == 1
-        assert part.frames[0].used == 0          # buffer cleared
+        assert part.frames == [[]] and part.free == [CAP]   # buffer cleared
         assert pool.allocated == 1
         assert stats.partitions_spilled == 1
         assert len(stats.write_trace) == 1
@@ -51,14 +50,14 @@ class TestInitialSpill:
     def test_single_frame_victim_is_random_write(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 1, pool=pool)
+        part = filled_partition(0, 1, pool)
         NoGrowNoSteal().initial_spill(part, pool, stats, "build", 0)
         assert not stats.write_trace[0].sequential
 
     def test_double_spill_asserts(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 2, pool=pool)
+        part = filled_partition(0, 2, pool)
         g = NoGrowNoSteal()
         g.initial_spill(part, pool, stats, "build", 0)
         with pytest.raises(AssertionError):
@@ -69,13 +68,13 @@ class TestNGNS:
     def test_buffer_insert_and_flush_cycle(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 2, pool=pool)
+        part = filled_partition(0, 2, pool)
         g = NoGrowNoSteal()
         g.initial_spill(part, pool, stats, "build", 0)
         # fill the buffer: 900 fits
-        assert g.insert_into_spilled(part, 900, "a", pool, stats, "build", 0)
+        assert g.insert_into_spilled(part, (900, None, "a"), pool, stats, "build", 0)
         # next 900 does not fit → buffer flushes as one random write
-        assert g.insert_into_spilled(part, 900, "b", pool, stats, "build", 0)
+        assert g.insert_into_spilled(part, (900, None, "b"), pool, stats, "build", 0)
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
@@ -84,19 +83,19 @@ class TestNGNS:
     def test_spilled_partition_never_grows(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 3, pool=pool)
+        part = filled_partition(0, 3, pool)
         g = NoGrowNoSteal()
         g.initial_spill(part, pool, stats, "build", 0)
         for i in range(20):
-            g.insert_into_spilled(part, 600, i, pool, stats, "build", 0)
+            g.insert_into_spilled(part, (600, None, i), pool, stats, "build", 0)
             assert part.num_frames == 1
 
     def test_free_memory_only_victimizes_residents(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        spilled = filled_partition(0, 1, pool=pool)
+        spilled = filled_partition(0, 1, pool)
         spilled.spilled = True
-        resident = filled_partition(1, 3, pool=pool)
+        resident = filled_partition(1, 3, pool)
         g = NoGrowNoSteal()
         assert g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
                              make_victim("largest-size"), stats, "build", 0) is resident
@@ -106,7 +105,7 @@ class TestNGNS:
     def test_free_memory_no_candidates_returns_zero(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        spilled = filled_partition(0, 1, pool=pool)
+        spilled = filled_partition(0, 1, pool)
         spilled.spilled = True
         g = NoGrowNoSteal()
         assert g.free_memory([spilled], VictimContext(0, 1, 1), pool,
@@ -118,30 +117,30 @@ class TestGS:
     def test_spilled_partition_grows_while_memory_lasts(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 2, pool=pool)
+        part = filled_partition(0, 2, pool)
         g = GrowSteal()
         g.initial_spill(part, pool, stats, "build", 0)
         for i in range(10):
-            assert g.insert_into_spilled(part, 900, i, pool, stats, "build", 0)
+            assert g.insert_into_spilled(part, (900, None, i), pool, stats, "build", 0)
         assert part.num_frames > 1                       # it grew
 
     def test_insert_fails_when_pool_exhausted(self):
         pool = BufferPool(3)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 3, pool=pool)
+        part = filled_partition(0, 3, pool)
         g = GrowSteal()
         part.spilled = True          # simulate an already-spilled, full state
-        assert not g.insert_into_spilled(part, 900, "x", pool, stats,
+        assert not g.insert_into_spilled(part, (900, None, "x"), pool, stats,
                                          "build", 0)
 
     def test_steal_flushes_largest_spilled_sequentially(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        a = filled_partition(0, 4, pool=pool)
+        a = filled_partition(0, 4, pool)
         a.spilled = True
-        b = filled_partition(1, 2, pool=pool)
+        b = filled_partition(1, 2, pool)
         b.spilled = True
-        resident = filled_partition(2, 2, pool=pool)
+        resident = filled_partition(2, 2, pool)
         g = GrowSteal()
         assert g.free_memory([a, b, resident], VictimContext(2, 2, 3), pool,
                              make_victim("largest-size"), stats, "build", 0) is a
@@ -153,9 +152,9 @@ class TestGS:
     def test_falls_back_to_resident_victims(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        spilled = filled_partition(0, 1, pool=pool)
+        spilled = filled_partition(0, 1, pool)
         spilled.spilled = True
-        resident = filled_partition(1, 3, pool=pool)
+        resident = filled_partition(1, 3, pool)
         g = GrowSteal()
         assert g.free_memory([spilled, resident], VictimContext(1, 1, 2), pool,
                              make_victim("largest-size"), stats, "build", 0) is resident
@@ -168,9 +167,8 @@ class TestFlushSpilled:
         pool = BufferPool(16)
         stats = JoinStats(CAP)
         part = Partition(0, CAP)
-        for _ in range(3):
-            pool.allocate(1)
-            part.new_frame()
+        pool.allocate(3)
+        part.frames, part.free = [[], [], []], [CAP] * 3
         part.spilled = True
         g = NoGrowNoSteal()
         freed = g.flush_spilled(part, pool, stats, "build", 0, keep_buffer=False)
@@ -180,10 +178,10 @@ class TestFlushSpilled:
     def test_keep_buffer_leaves_one_frame(self):
         pool = BufferPool(16)
         stats = JoinStats(CAP)
-        part = filled_partition(0, 3, pool=pool)
+        part = filled_partition(0, 3, pool)
         part.spilled = True
         g = GrowSteal()
         freed = g.flush_spilled(part, pool, stats, "build", 0, keep_buffer=True)
         assert freed == 2
         assert part.num_frames == 1
-        assert part.frames[0].used == 0
+        assert part.frames == [[]] and part.free == [CAP]

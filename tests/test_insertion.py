@@ -1,7 +1,9 @@
 """Unit tests for the §5 partition-insertion policies."""
+import hashlib
+import random
+
 import pytest
 
-from repro.frames import Frame
 from repro.insertion import (
     AppendN,
     BestFit,
@@ -17,14 +19,9 @@ CAP = 1000
 
 
 def frames_with_free(*free_bytes):
-    """Frames whose free space is exactly the given values (oldest first)."""
-    out = []
-    for free in free_bytes:
-        f = Frame(CAP)
-        if CAP - free > 0:
-            f.insert(CAP - free)
-        out.append(f)
-    return out
+    """A partition's free-byte list: frames whose free space is exactly
+    the given values (oldest first)."""
+    return list(free_bytes)
 
 
 ALL_NAMES = sorted(default_policies().keys())
@@ -41,7 +38,7 @@ class TestCommonBehaviour:
         frames = frames_with_free(50, 300, 120, 800, 10)
         idx = pol.find_frame(frames, 100)
         if idx is not None:
-            assert frames[idx].fits(100)
+            assert frames[idx] >= 100
 
     def test_no_frame_fits_returns_none(self, name):
         pol = make_policy(name)
@@ -224,3 +221,64 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_make_policy_returns_fresh_instances(self, name):
         assert make_policy(name) is not make_policy(name)
+
+
+def search_sequence(policy, steps=2000, seed=2022):
+    """``(index, frames searched)`` of each ``find_frame`` call over one
+    seeded stream of record sizes, each record placed where the policy
+    says (a new frame on None), with an occasional spill that empties
+    the partition. Sizes are mostly multiples of 50 B, so exact fits
+    (Best-Fit's early stop) are common."""
+    rng = random.Random(seed)
+    free, seq = [], []
+    for _ in range(steps):
+        if rng.random() < 0.004:
+            free = []
+            policy.notify_spilled()
+        size = 50 * rng.randint(1, 8) if rng.random() < 0.7 else rng.randint(1, CAP)
+        before = policy.frames_searched
+        idx = policy.find_frame(free, size)
+        seq.append((idx, policy.frames_searched - before))
+        if idx is None:
+            free.append(CAP - size)
+            policy.notify_inserted(len(free) - 1, size, appended=True)
+        else:
+            free[idx] -= size
+            policy.notify_inserted(idx, size, appended=False)
+    return seq
+
+
+# Recorded with frames as objects, before the policies searched a list of
+# free bytes, Random(10%) seeded with 3: the first ten calls, the total
+# frames searched, the calls that found no frame and a sha256 prefix of
+# the whole sequence's repr.
+PINNED = {
+    "append(8)": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                   (1, 1), (1, 1), (None, 2), (1, 2), (1, 2)],
+                  6980, 676, "b3bf03b42286cb84"),
+    "first-fit": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                   (1, 1), (1, 1), (None, 2), (1, 2), (1, 2)],
+                  32897, 664, "979c63b5a4d2c4ab"),
+    "first-fit(10%)": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                        (1, 1), (1, 1), (None, 1), (None, 1), (3, 1)],
+                       5346, 700, "b05cfbc0bcc7f280"),
+    "best-fit": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                  (1, 2), (1, 2), (None, 2), (1, 3), (1, 3)],
+                 82409, 637, "b5dfb5b6072bf526"),
+    "next-fit": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                  (1, 1), (1, 1), (None, 1), (1, 2), (1, 1)],
+                 8130, 683, "76b090f56c3d3064"),
+    "random(10%)": ([(None, 0), (0, 1), (0, 1), (0, 1), (None, 1),
+                     (None, 1), (2, 1), (None, 1), (None, 1), (2, 1)],
+                    6709, 715, "5763107833feef7f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_search_sequence(name):
+    head, searched, misses, digest = PINNED[name]
+    seq = search_sequence(make_policy(name, seed=3))
+    assert seq[:10] == head
+    assert sum(n for _, n in seq) == searched
+    assert sum(idx is None for idx, _ in seq) == misses
+    assert hashlib.sha256(repr(seq).encode()).hexdigest()[:16] == digest

@@ -171,7 +171,7 @@ class TestEdgeCases:
         parts = DynamicHybridHashJoin(HHJConfig(
             memory_frames=8, frame_bytes=FRAME, num_partitions=4)).build_only(build)
         stored = {payload: key for q in parts for f in q.frames
-                  for _, (key, payload) in f.records}
+                  for _, key, payload in f}
         assert {p: type(k) for p, k in stored.items()} == {
             "a": int, "b": int, "c": int, "d": float, "e": str, "f": bool}
 
@@ -209,6 +209,13 @@ class TestConfigValidation:
     def test_partitions_cannot_exceed_memory(self):
         with pytest.raises(ValueError):
             HHJConfig(memory_frames=16, num_partitions=17)
+
+    @pytest.mark.parametrize("frame_bytes", [0, -1])
+    def test_frame_bytes_must_be_positive(self, frame_bytes):
+        # it used to be accepted, and joining even two empty inputs then
+        # divided by zero
+        with pytest.raises(ValueError, match="frame_bytes must be positive"):
+            HHJConfig(memory_frames=8, frame_bytes=frame_bytes)
 
     def test_default_partition_policy_is_twenty(self):
         cfg = HHJConfig(memory_frames=256)

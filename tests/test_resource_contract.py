@@ -18,7 +18,12 @@ from repro.frames.spillfile import SpillFile
 from repro.insertion import default_policies as insertion_policies
 from repro.victim import default_policies as victim_policies
 
-from tests.util import make_records, make_skewed_records, naive_hash_join
+from tests.util import (
+    assert_free_list_invariant,
+    make_records,
+    make_skewed_records,
+    naive_hash_join,
+)
 
 FRAME = 1024
 
@@ -191,7 +196,9 @@ class TestDifferential:
         assert sum(f.bytes_written for f in files) == s.total_bytes_spilled
         # the run records its end-of-build memory where build_only stops
         built = DynamicHybridHashJoin(HHJConfig(**cfg_kw))
-        for q in built.build_only(build):
+        parts = built.build_only(build)
+        assert_free_list_invariant(parts)
+        for q in parts:
             q.close()
         assert ((built.stats.resident_frames, built.stats.resident_bytes)
                 == (s.resident_frames, s.resident_bytes))

@@ -19,14 +19,13 @@ def part(pid, record_sizes, frame_bytes=CAP):
     """Partition with the given record sizes, one frame per record chunk."""
     p = Partition(pid, frame_bytes)
     for s in record_sizes:
-        f = None
-        for fr in p.frames:
-            if fr.fits(s):
-                f = fr
-                break
-        if f is None:
-            f = p.new_frame()
-        f.insert(s)
+        i = next((i for i, free in enumerate(p.free) if free >= s), None)
+        if i is None:
+            p.frames.append([])
+            p.free.append(frame_bytes)
+            i = -1
+        p.frames[i].append((s, None, None))
+        p.free[i] -= s
     return p
 
 

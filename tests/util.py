@@ -37,3 +37,19 @@ def naive_hash_join(build, probe) -> List[Tuple[object, object]]:
     for key, _size, payload in build:
         table.setdefault(key, []).append(payload)
     return [(b, payload) for key, _size, payload in probe for b in table.get(key, ())]
+
+
+def assert_free_list_invariant(parts, pool=None) -> None:
+    """Each partition's free-byte list matches its frames' records, its
+    derived sizes equal a recomputation, and ``pool`` (when given) funds
+    exactly the partitions' frames."""
+    for q in parts:
+        assert len(q.free) == len(q.frames)
+        used = [sum(r[0] for r in records) for records in q.frames]
+        for free, frame_used in zip(q.free, used):
+            assert 0 <= free == q.frame_bytes - frame_used
+        assert q.in_memory_bytes == sum(used)
+        assert q.in_memory_records == sum(len(records) for records in q.frames)
+        assert q.fragmentation_bytes == sum(q.frame_bytes - u for u in used)
+    if pool is not None:
+        assert pool.allocated == sum(q.num_frames for q in parts)
