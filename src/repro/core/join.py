@@ -30,22 +30,23 @@ the storage model replays into device times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..frames.partition import Partition
+from ..frames.frame import DEFAULT_FRAME_BYTES
+from ..frames.partition import Partition, SpillFiles
 from ..frames.pool import BufferPool
-from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record, SpillFile
+from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy
 from ..insertion.policies import make_policy as make_insertion
-from ..victim.policies import VictimContext, VictimPolicy
+from ..victim.policies import VictimContext
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
-from .stats import JoinStats
+from .stats import JoinStats, Phase
 
 #: an input record: ``(key, size_bytes, payload)``
 InputRecord = Tuple[Any, int, Any]
@@ -72,6 +73,20 @@ def _batches(records: Iterable[Any]) -> Iterator[List[Any]]:
         yield batch
 
 
+def _blocks(records: Iterable[Record], block_bytes: int) -> Iterator[List[Record]]:
+    """``records`` in lists of at most ``block_bytes`` bytes (or one record)."""
+    block: List[Record] = []
+    used = 0
+    for rec in records:
+        if used + rec[0] > block_bytes and block:
+            yield block
+            block, used = [], 0
+        block.append(rec)
+        used += rec[0]
+    if block:
+        yield block
+
+
 def _canonical(key: Any) -> Any:
     """``key`` as the plain Python value it equals: a numpy scalar's
     ``item()``, and an integral float as an int."""
@@ -87,7 +102,7 @@ class HHJConfig:
     """All knobs of one Dynamic HHJ execution."""
 
     memory_frames: int
-    frame_bytes: int = 32 * 1024
+    frame_bytes: int = DEFAULT_FRAME_BYTES
     num_partitions: Optional[int] = None     # None → robust §4 policy
     #: a §5 policy name, or a factory pid → policy instance
     insertion: Union[str, Callable[[int], InsertionPolicy]] = "append(8)"
@@ -116,21 +131,23 @@ class DynamicHybridHashJoin:
     def __init__(self, cfg: HHJConfig) -> None:
         self.cfg = cfg
         self.stats = JoinStats(frame_bytes=cfg.frame_bytes)
-        self.growth: GrowthPolicy = make_growth(cfg.growth)
-        self.victim: VictimPolicy = make_victim(cfg.victim)
+        self.growth: GrowthPolicy = make_growth(cfg.growth, make_victim(cfg.victim),
+                                                self.stats)
 
     # -- factories -------------------------------------------------------
-    def _spill_file_factory(self) -> Callable[[], SpillFile]:
-        if self.cfg.use_disk_spill:
-            return lambda: DiskSpillFile(dir=self.cfg.spill_dir)
-        return MemorySpillFile
+    def _spill_files(self, phase: Phase, level: int) -> SpillFiles:
+        """The spill files of one side of one round, made per partition."""
+        cfg, stats = self.cfg, self.stats
+        if cfg.use_disk_spill:
+            return lambda pid: DiskSpillFile(stats, phase, pid, level, dir=cfg.spill_dir)
+        return lambda pid: MemorySpillFile(stats, phase, pid, level)
 
-    def _new_partitions(self, p: int) -> List[Partition]:
+    def _new_partitions(self, p: int, pool: BufferPool,
+                        spill_files: SpillFiles) -> List[Partition]:
         ins = self.cfg.insertion
         # a name seeds each partition's policy with its pid (Random(%p)'s stream)
         new_policy = ins if callable(ins) else lambda pid: make_insertion(ins, seed=pid)
-        factory = self._spill_file_factory()
-        return [Partition(pid, self.cfg.frame_bytes, factory, new_policy(pid))
+        return [Partition(pid, self.cfg.frame_bytes, pool, spill_files, new_policy(pid))
                 for pid in range(p)]
 
     def _admit(self, records: Iterable[InputRecord]) -> Iterator[Record]:
@@ -195,13 +212,13 @@ class DynamicHybridHashJoin:
             p = cfg.num_partitions or robust_num_partitions(cfg.memory_frames)
         p = max(2, min(p, cfg.memory_frames))
 
-        partitions = self._new_partitions(p)
         pool = BufferPool(cfg.memory_frames)
+        partitions = self._new_partitions(p, pool, self._spill_files("build", level))
 
         def make_room(part: Partition) -> bool:
             """Spill for a record of resident ``part``; False once ``part``
             itself has spilled."""
-            if self._free_memory(partitions, part, pool, level) is None:
+            if self._free_memory(partitions, part) is None:
                 raise MemoryError(
                     "cannot free memory: all partitions spilled and pool full "
                     f"(budget={pool.budget}, P={len(partitions)})"
@@ -216,13 +233,12 @@ class DynamicHybridHashJoin:
                 pids = split_partition(list(map(_key, batch)), p, level)
                 for rec, pid in zip(batch, pids):
                     part = partitions[pid]
-                    if part.spilled or not part.place(rec, pool, make_room):
-                        self._insert_spilled(rec, part, partitions, pool, level)
+                    if part.spilled or not part.place(rec, make_room):
+                        self._insert_spilled(rec, part, partitions)
             # every spilled partition's leftover frames go to disk
             for q in partitions:
                 if q.spilled:
-                    self.growth.flush_spilled(q, pool, self.stats, "build", level,
-                                              keep_buffer=False)
+                    self.growth.flush_spilled(q, keep_buffer=False)
         except BaseException:
             for q in partitions:
                 q.close()
@@ -260,32 +276,31 @@ class DynamicHybridHashJoin:
             self._reload_spilled(partitions, pool)
 
             # Make room for one probe output buffer per spilled partition.
-            self._reserve_probe_buffers(partitions, pool, level)
+            self._reserve_probe_buffers(partitions, pool)
 
             resident = [q for q in partitions if not q.spilled]
             spilled = [q for q in partitions if q.spilled]
-            table = self._hash_table(resident)
+            table = self._hash_table(chain.from_iterable(f for q in resident for f in q.frames))
 
             # ---------------- probe phase ----------------
             # one output buffer per spilled partition, reserved above and
             # allocated on its first record
-            new_file = self._spill_file_factory()
+            probe_files = self._spill_files("probe", level)
             for q in spilled:
-                probe_parts[q.pid] = Partition(q.pid, cfg.frame_bytes, new_file)
+                probe_parts[q.pid] = Partition(q.pid, cfg.frame_bytes, pool, probe_files)
             for batch in _batches(probe):
                 stats.records_processed += len(batch)
                 pids = split_partition(list(map(_key, batch)), p, level)
+                to_probe = []
                 for rec, pid in zip(batch, pids):
                     pp = probe_parts.get(pid)
                     if pp is not None:
-                        pp.append_buffered(rec, pool, stats, "probe", level)
+                        pp.append_buffered(rec)
                     else:
-                        stats.hash_probes += 1
-                        _, key, payload = rec
-                        for bpayload in table.get(key, ()):
-                            yield (bpayload, payload) if not swapped else (payload, bpayload)
+                        to_probe.append(rec)
+                stats.hash_probes += yield from self._probe_table(table, to_probe, swapped)
             for pp in probe_parts.values():
-                pp.write_out(pool, stats, "probe", level, keep_buffer=False)
+                pp.write_out(keep_buffer=False)
 
             del table
             for q in resident:
@@ -298,8 +313,8 @@ class DynamicHybridHashJoin:
                 b_frames = bfile.frames_written if bfile else 0
                 p_frames = pfile.frames_written if pfile else 0
                 if b_frames and p_frames:
-                    child_build = bfile.replay(stats)
-                    child_probe = pfile.replay(stats)
+                    child_build = bfile.replay()
+                    child_probe = pfile.replay()
                     child_bf, child_swapped = b_frames, swapped
                     # §8.2 role reversal: the smaller side builds.
                     if p_frames < b_frames:
@@ -319,25 +334,22 @@ class DynamicHybridHashJoin:
 
     # -- memory pressure -------------------------------------------------
     def _insert_spilled(self, rec: Record, part: Partition,
-                        partitions: List[Partition], pool: BufferPool,
-                        level: int) -> None:
+                        partitions: List[Partition]) -> None:
         """Insert one build record into spilled ``part``."""
-        while not self.growth.insert_into_spilled(part, rec, pool,
-                                                  self.stats, "build", level):
-            if self._free_memory(partitions, part, pool, level) is not None:
+        while not self.growth.insert_into_spilled(part, rec):
+            if self._free_memory(partitions, part) is not None:
                 continue
             if part.num_frames == 0:
                 raise MemoryError("spilled-partition insert cannot make progress")
             # last resort: recycle our own (full) buffer via a flush
-            self.growth.flush_spilled(part, pool, self.stats, "build", level)
+            self.growth.flush_spilled(part)
 
-    def _free_memory(self, partitions: List[Partition], part: Partition,
-                     pool: BufferPool, level: int) -> Optional[Partition]:
+    def _free_memory(self, partitions: List[Partition],
+                     part: Partition) -> Optional[Partition]:
         """Let the growth policy free frames for a record of ``part``."""
         ctx = VictimContext(part.pid, sum(q.spilled for q in partitions),
                             len(partitions))
-        return self.growth.free_memory(partitions, ctx, pool, self.victim,
-                                       self.stats, "build", level)
+        return self.growth.free_memory(partitions, ctx)
 
     def _reload_spilled(self, partitions: List[Partition], pool: BufferPool) -> None:
         """§8.5: pull back spilled partitions that now fit in free memory."""
@@ -351,47 +363,48 @@ class DynamicHybridHashJoin:
             if need * TABLE1_FUDGE > pool.free:
                 continue
             self.stats.frames_reloaded += need
-            if all(q.place(rec, pool) for rec in q.spill_file.replay(self.stats)):
+            if all(q.place(rec) for rec in q.spill_file.replay()):
                 q.spilled = False
                 q.spill_file.close()
                 q.spill_file = None
             else:
                 # does not fit after all: the file still holds every record
-                q.drop_frames(pool)
+                q.drop_frames()
 
     def _reserve_probe_buffers(self, partitions: List[Partition],
-                               pool: BufferPool, level: int) -> None:
+                               pool: BufferPool) -> None:
         """Spill more residents until each spilled partition can hold one
         probe output buffer within the budget."""
         while (n_spilled := sum(q.spilled for q in partitions)) + pool.allocated > pool.budget:
             # spilled partitions hold no frames here, so G-S steals nothing
             target = self.growth.free_memory(
-                partitions, VictimContext(-1, n_spilled, len(partitions)), pool,
-                self.victim, self.stats, "build", level)
+                partitions, VictimContext(-1, n_spilled, len(partitions)))
             if target is None:
                 raise MemoryError("cannot reserve probe buffers: no resident victims")
-            self.growth.flush_spilled(target, pool, self.stats, "build", level,
-                                      keep_buffer=False)
-
-    def _hash_table(self, resident: List[Partition]) -> dict:
-        table: dict = {}
-        for q in resident:
-            for f in q.frames:
-                for _, key, payload in f:
-                    table.setdefault(key, []).append(payload)
-        return table
+            self.growth.flush_spilled(target, keep_buffer=False)
 
     def _collect_search_stats(self, partitions: List[Partition]) -> None:
         for q in partitions:
             self.stats.frames_searched += q.insertion.frames_searched
             q.insertion.reset_stats()
 
-    # -- fallback operators ----------------------------------------------
+    # -- the join kernel -------------------------------------------------
     @staticmethod
-    def _probe_table(table: dict, probe: Iterable[Record],
+    def _hash_table(records: Iterable[Record]) -> Dict[Any, List[Any]]:
+        """Key → build payloads of ``records``, in input order: the hash
+        table of every join the operator runs (resident partitions, the
+        §8.3 shortcut and each §8.1 block)."""
+        table: Dict[Any, List[Any]] = {}
+        for _size, key, payload in records:
+            table.setdefault(key, []).append(payload)
+        return table
+
+    @staticmethod
+    def _probe_table(table: Dict[Any, List[Any]], probe: Iterable[Record],
                      swapped: bool) -> Generator[Pair, None, int]:
-        """Join ``probe`` against ``table`` (key → build payloads), the
-        pairs oriented for ``swapped``; returns the probe records seen."""
+        """Join ``probe`` against ``table``, the pairs oriented for
+        ``swapped``; returns the probe records seen. Every probe of the
+        operator goes through here."""
         n = 0
         for _size, key, payload in probe:
             n += 1
@@ -399,15 +412,15 @@ class DynamicHybridHashJoin:
                 yield (bpayload, payload) if not swapped else (payload, bpayload)
         return n
 
+    # -- fallback operators ----------------------------------------------
     def _in_memory_join(self, build: Iterator[Record], probe: Iterator[Record],
                         swapped: bool) -> Iterator[Pair]:
-        """§8.3: skip partitioning, hash the whole build input directly."""
+        """§8.3: skip partitioning, hash the whole build input directly
+        (it is known to fit the memory budget)."""
         self.stats.in_memory_rounds += 1
-        table: dict = {}
-        for _size, key, payload in build:
-            self.stats.records_processed += 1
-            table.setdefault(key, []).append(payload)
-        n = yield from self._probe_table(table, probe, swapped)
+        records = list(build)
+        self.stats.records_processed += len(records)
+        n = yield from self._probe_table(self._hash_table(records), probe, swapped)
         self.stats.records_processed += n
         self.stats.hash_probes += n
 
@@ -425,17 +438,8 @@ class DynamicHybridHashJoin:
         cfg = self.cfg
         block_bytes = max(cfg.frame_bytes, (cfg.memory_frames - 2) * cfg.frame_bytes)
         probe_cache: List[Record] = list(probe)
-        block: dict = {}
-        used = 0
-        for size, key, payload in build:
-            self.stats.records_processed += 1
-            if used + size > block_bytes and block:
-                self.stats.comparisons += yield from self._probe_table(
-                    block, probe_cache, swapped)
-                block, used = {}, 0
-            block.setdefault(key, []).append(payload)
-            used += size
-        if block:
+        for block in _blocks(build, block_bytes):
+            self.stats.records_processed += len(block)
             self.stats.comparisons += yield from self._probe_table(
-                block, probe_cache, swapped)
+                self._hash_table(block), probe_cache, swapped)
 

@@ -16,9 +16,11 @@ produce device response times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal, Tuple
+from typing import List, Literal
 
-Phase = Literal["build", "probe", "reload"]
+from ..frames.frame import DEFAULT_FRAME_BYTES
+
+Phase = Literal["build", "probe"]
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class WriteOp:
 class JoinStats:
     """Everything measured about one (possibly multi-round) join run."""
 
-    frame_bytes: int = 32 * 1024
+    frame_bytes: int = DEFAULT_FRAME_BYTES
 
     # spilling
     build_bytes_spilled: int = 0

@@ -13,13 +13,10 @@ from typing import Sequence
 
 import pandas as pd
 
-from ..core.join import DynamicHybridHashJoin, HHJConfig
-from ..insertion.policies import default_policies
-from ..storage.device import DEVICES, response_time
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..synth_data import wisconsin_record_stream
+from .fig9 import ALGORITHMS, insertion_runs
 
-FRAME_BYTES = 32 * 1024
-ALGORITHMS = tuple(default_policies().keys())
 PCTS_LARGE = (0.1, 0.5, 0.9)
 
 
@@ -30,32 +27,17 @@ def _variable_size_experiment(dataset: str, pcts_large: Sequence[float],
 
     rows = []
     for pct in pcts_large:
-        avg = avg_record_bytes(dataset, pct)
-        n = max(1, int(n_bytes_target / avg))
+        n = max(1, int(n_bytes_target / avg_record_bytes(dataset, pct)))
         build = wisconsin_record_stream(n=n, dataset=dataset, pct_large=pct,
                                         seed=seed)
         probe = wisconsin_record_stream(n=n, dataset=dataset, pct_large=pct,
                                         seed=seed + 100)
-        input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
-        total_frames = sum(r[1] for r in build) // frame_bytes + 1
-        ample = int(2 * total_frames + 64)
-        for alg in algorithms:
-            cfg = HHJConfig(memory_frames=ample, frame_bytes=frame_bytes,
-                            num_partitions=20, insertion=alg)
-            op = DynamicHybridHashJoin(cfg)
-            n_out = sum(1 for _ in op.run(build, probe))
-            row = {"dataset": dataset, "pct_large": pct, "algorithm": alg,
-                   "avg_frame_fullness": op.stats.avg_frame_fullness,
-                   "frames_searched": op.stats.frames_searched,
-                   "out_pairs": n_out}
-            for dev_name, dev in DEVICES.items():
-                row[f"time_{dev_name}_s"] = response_time(
-                    op.stats, dev, input_bytes, frame_bytes)
-            rows.append(row)
+        rows += [{"dataset": dataset, "pct_large": pct, **row}
+                 for row in insertion_runs(build, probe, frame_bytes, algorithms)]
     return pd.DataFrame(rows)
 
 
-def fig10(n_bytes_target: int = 32 << 20, frame_bytes: int = FRAME_BYTES,
+def fig10(n_bytes_target: int = 32 << 20, frame_bytes: int = DEFAULT_FRAME_BYTES,
           pcts_large: Sequence[float] = PCTS_LARGE,
           algorithms: Sequence[str] = ALGORITHMS, seed: int = 0) -> pd.DataFrame:
     """3-Large Record Coexist sweep (paper Fig 10)."""
@@ -63,7 +45,7 @@ def fig10(n_bytes_target: int = 32 << 20, frame_bytes: int = FRAME_BYTES,
                                      frame_bytes, algorithms, seed)
 
 
-def fig11(n_bytes_target: int = 32 << 20, frame_bytes: int = FRAME_BYTES,
+def fig11(n_bytes_target: int = 32 << 20, frame_bytes: int = DEFAULT_FRAME_BYTES,
           pcts_large: Sequence[float] = PCTS_LARGE,
           algorithms: Sequence[str] = ALGORITHMS, seed: int = 0) -> pd.DataFrame:
     """1-Large Record Coexist sweep (paper Fig 11)."""

@@ -18,6 +18,7 @@ from typing import Sequence
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..storage.device import HDD, response_time
 from ..storage.elevator import elevator_coalesce
 from ..synth_data import wisconsin_record_stream
@@ -26,12 +27,10 @@ from ..synth_data import wisconsin_record_stream
 PAPER_RATIOS = (1.2 * 1024 / 1024, 2 * 1024 / 1024, 10 * 1024 / 1024,
                 20 * 1024 / 1024, 100 * 1024 / 1024)
 
-FRAME_BYTES = 32 * 1024
-
 
 def fig12(memory_frames: int = 128,
           ratios: Sequence[float] = PAPER_RATIOS,
-          frame_bytes: int = FRAME_BYTES,
+          frame_bytes: int = DEFAULT_FRAME_BYTES,
           cache_frames: int = 1024, seed: int = 0) -> pd.DataFrame:
     """Both growth policies across the ratio sweep, ± filesystem cache."""
     from .runner import avg_record_bytes, records_for_ratio

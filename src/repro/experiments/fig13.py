@@ -17,10 +17,10 @@ import pandas as pd
 
 from ..core.ideal import spill_ratio
 from ..core.join import DynamicHybridHashJoin, HHJConfig
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..synth_data import wisconsin_record_stream
 from ..victim.policies import default_policies
 
-FRAME_BYTES = 32 * 1024
 RATIOS = (1.2, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 ALL_POLICIES = tuple(default_policies().keys())
 
@@ -29,7 +29,7 @@ def victim_experiment(dataset: str, pct_large: float, skew: bool,
                       memory_frames: int = 256,
                       ratios: Sequence[float] = RATIOS,
                       policies: Sequence[str] = ALL_POLICIES,
-                      frame_bytes: int = FRAME_BYTES,
+                      frame_bytes: int = DEFAULT_FRAME_BYTES,
                       num_partitions: int = 20,
                       ideal_fudge: float = 1.0,
                       seed: int = 0) -> pd.DataFrame:

@@ -10,7 +10,7 @@ frame granularity (1 frame = 1 MB) by :mod:`repro.core.sim_partitions`.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import pandas as pd
 
@@ -21,36 +21,40 @@ INPUT_SIZES_MB = (128, 256, 512, 1024, 2048, 4096, 8192)
 PARTITION_COUNTS = (2, 3, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64, 96, 128)
 
 
+def _cells(memory_mb: int, input_sizes_mb: Sequence[int],
+           partition_counts: Sequence[int]) -> List[Tuple[int, int]]:
+    """The (input MB, P) points of a sweep, P no larger than the memory."""
+    return [(size, p) for size in input_sizes_mb for p in partition_counts
+            if p <= memory_mb]
+
+
+def _total_spill(memory_mb: int, input_sizes_mb: Sequence[int],
+                 partition_counts: Sequence[int],
+                 accurate_later_rounds: bool) -> pd.DataFrame:
+    rows = []
+    for size, p in _cells(memory_mb, input_sizes_mb, partition_counts):
+        b, pr = simulate_join(size, memory_mb, p,
+                              accurate_later_rounds=accurate_later_rounds)
+        rows.append({"input_mb": size, "partitions": p,
+                     "build_spill_mb": b, "probe_spill_mb": pr,
+                     "total_spill_mb": b + pr})
+    return pd.DataFrame(rows)
+
+
 def fig3(memory_mb: int = MEMORY_MB,
          input_sizes_mb: Sequence[int] = INPUT_SIZES_MB,
          partition_counts: Sequence[int] = PARTITION_COUNTS) -> pd.DataFrame:
     """Total spilling (MB) with the same partition count in all rounds."""
-    rows = []
-    for size in input_sizes_mb:
-        for p in partition_counts:
-            if p > memory_mb:
-                continue
-            b, pr = simulate_join(size, memory_mb, p, accurate_later_rounds=False)
-            rows.append({"input_mb": size, "partitions": p,
-                         "build_spill_mb": b, "probe_spill_mb": pr,
-                         "total_spill_mb": b + pr})
-    return pd.DataFrame(rows)
+    return _total_spill(memory_mb, input_sizes_mb, partition_counts,
+                        accurate_later_rounds=False)
 
 
 def fig4(memory_mb: int = MEMORY_MB,
          input_sizes_mb: Sequence[int] = INPUT_SIZES_MB,
          partition_counts: Sequence[int] = PARTITION_COUNTS) -> pd.DataFrame:
     """Total spilling (MB) when later rounds use Eq. 2-accurate counts."""
-    rows = []
-    for size in input_sizes_mb:
-        for p in partition_counts:
-            if p > memory_mb:
-                continue
-            b, pr = simulate_join(size, memory_mb, p, accurate_later_rounds=True)
-            rows.append({"input_mb": size, "partitions": p,
-                         "build_spill_mb": b, "probe_spill_mb": pr,
-                         "total_spill_mb": b + pr})
-    return pd.DataFrame(rows)
+    return _total_spill(memory_mb, input_sizes_mb, partition_counts,
+                        accurate_later_rounds=True)
 
 
 def fig5(memory_mb: int = MEMORY_MB,
@@ -58,14 +62,10 @@ def fig5(memory_mb: int = MEMORY_MB,
          partition_counts: Sequence[int] = PARTITION_COUNTS) -> pd.DataFrame:
     """Build data (MB) remaining in memory after round 1's build phase."""
     rows = []
-    for size in input_sizes_mb:
-        for p in partition_counts:
-            if p > memory_mb:
-                continue
-            rows.append({"input_mb": size, "partitions": p,
-                         "in_memory_mb": in_memory_after_first_round(size, memory_mb, p),
-                         "memory_utilization":
-                             in_memory_after_first_round(size, memory_mb, p) / memory_mb})
+    for size, p in _cells(memory_mb, input_sizes_mb, partition_counts):
+        in_memory_mb = in_memory_after_first_round(size, memory_mb, p)
+        rows.append({"input_mb": size, "partitions": p, "in_memory_mb": in_memory_mb,
+                     "memory_utilization": in_memory_mb / memory_mb})
     return pd.DataFrame(rows)
 
 

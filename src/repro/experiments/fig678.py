@@ -12,14 +12,14 @@ from typing import Sequence
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..insertion.policies import AppendN, FirstFitPct, RandomPct
 from ..synth_data import wisconsin_record_stream
 
-FRAME_BYTES = 32 * 1024
 PCTS_LARGE = (0.9, 0.5, 0.1)
 
 
-def _run_insertion(records, factory, frame_bytes: int = FRAME_BYTES,
+def _run_insertion(records, factory, frame_bytes: int = DEFAULT_FRAME_BYTES,
                    num_partitions: int = 20):
     """Build phase with ample memory; returns (fullness, frames_searched)."""
     total_bytes = sum(r[1] for r in records)
@@ -32,50 +32,40 @@ def _run_insertion(records, factory, frame_bytes: int = FRAME_BYTES,
     return op.stats.avg_frame_fullness, op.stats.frames_searched
 
 
-def fig6_append(ks: Sequence[int] = tuple(range(1, 11)),
-                pcts_large: Sequence[float] = PCTS_LARGE,
-                n: int = 5000, seed: int = 0) -> pd.DataFrame:
-    """Fig 6: frame fullness and searched frames per Append(k)."""
+def _sweep(params: Sequence, pcts_large: Sequence[float], n: int, seed: int,
+           factory) -> pd.DataFrame:
+    """Fullness and searched frames per (%large, param); ``factory(param,
+    pid)`` makes partition ``pid``'s policy."""
     rows = []
     for pct in pcts_large:
         recs = wisconsin_record_stream(n=n, dataset="1-large", pct_large=pct,
                                        seed=seed)
-        for k in ks:
-            fullness, searched = _run_insertion(recs, lambda pid, k=k: AppendN(k))
-            rows.append({"pct_large": pct, "param": k,
+        for param in params:
+            fullness, searched = _run_insertion(
+                recs, lambda pid, param=param: factory(param, pid))
+            rows.append({"pct_large": pct, "param": param,
                          "avg_frame_fullness": fullness,
                          "frames_searched": searched})
     return pd.DataFrame(rows)
+
+
+def fig6_append(ks: Sequence[int] = tuple(range(1, 11)),
+                pcts_large: Sequence[float] = PCTS_LARGE,
+                n: int = 5000, seed: int = 0) -> pd.DataFrame:
+    """Fig 6: frame fullness and searched frames per Append(k)."""
+    return _sweep(ks, pcts_large, n, seed, lambda k, pid: AppendN(k))
 
 
 def fig7_first_fit(params: Sequence[float] = (0.05, 0.10, 0.25, 0.50, 1.00),
                    pcts_large: Sequence[float] = PCTS_LARGE,
                    n: int = 5000, seed: int = 0) -> pd.DataFrame:
     """Fig 7: frame fullness and searched frames per First-Fit(%p)."""
-    rows = []
-    for pct in pcts_large:
-        recs = wisconsin_record_stream(n=n, dataset="1-large", pct_large=pct,
-                                       seed=seed)
-        for p in params:
-            fullness, searched = _run_insertion(recs, lambda pid, p=p: FirstFitPct(p))
-            rows.append({"pct_large": pct, "param": p,
-                         "avg_frame_fullness": fullness,
-                         "frames_searched": searched})
-    return pd.DataFrame(rows)
+    return _sweep(params, pcts_large, n, seed, lambda p, pid: FirstFitPct(p))
 
 
 def fig8_random(params: Sequence[float] = (0.05, 0.10, 0.25, 0.50, 1.00),
                 pcts_large: Sequence[float] = PCTS_LARGE,
                 n: int = 5000, seed: int = 0) -> pd.DataFrame:
     """Fig 8: frame fullness and searched frames per Random(%p)."""
-    rows = []
-    for pct in pcts_large:
-        recs = wisconsin_record_stream(n=n, dataset="1-large", pct_large=pct,
-                                       seed=seed)
-        for p in params:
-            fullness, searched = _run_insertion(
-                recs, lambda pid, p=p: RandomPct(p, seed=1000 + pid))
-            rows.append({"pct_large": pct, "param": p,
-                         "avg_frame_fullness": fullness,
-                         "frames_searched": searched})
-    return pd.DataFrame(rows)
+    return _sweep(params, pcts_large, n, seed,
+                  lambda p, pid: RandomPct(p, seed=1000 + pid))

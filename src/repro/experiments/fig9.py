@@ -9,25 +9,24 @@ exactly the paper's point (Best-Fit worst, Append(8) best).
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..insertion.policies import default_policies
 from ..storage.device import DEVICES, response_time
 from ..synth_data import wisconsin_record_stream
 
-FRAME_BYTES = 32 * 1024
 ALGORITHMS = tuple(default_policies().keys())
 
 
-def fig9(n: int = 30_000, frame_bytes: int = FRAME_BYTES,
-         algorithms: Sequence[str] = ALGORITHMS,
-         seed: int = 0) -> pd.DataFrame:
-    """Fullness + modeled response time per insertion algorithm."""
-    build = wisconsin_record_stream(n=n, dataset="all-small", seed=seed)
-    probe = wisconsin_record_stream(n=n, dataset="all-small", seed=seed + 100)
+def insertion_runs(build, probe, frame_bytes: int,
+                   algorithms: Sequence[str]) -> List[dict]:
+    """One no-spill join of ``build`` and ``probe`` per insertion
+    algorithm: frame fullness, frames searched, output pairs and the
+    modeled response time on each device."""
     input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
     total_frames = sum(r[1] for r in build) // frame_bytes + 1
     ample = int(2 * total_frames + 64)
@@ -45,4 +44,13 @@ def fig9(n: int = 30_000, frame_bytes: int = FRAME_BYTES,
             row[f"time_{dev_name}_s"] = response_time(op.stats, dev, input_bytes,
                                                       frame_bytes)
         rows.append(row)
-    return pd.DataFrame(rows)
+    return rows
+
+
+def fig9(n: int = 30_000, frame_bytes: int = DEFAULT_FRAME_BYTES,
+         algorithms: Sequence[str] = ALGORITHMS,
+         seed: int = 0) -> pd.DataFrame:
+    """Fullness + modeled response time per insertion algorithm."""
+    build = wisconsin_record_stream(n=n, dataset="all-small", seed=seed)
+    probe = wisconsin_record_stream(n=n, dataset="all-small", seed=seed + 100)
+    return pd.DataFrame(insertion_runs(build, probe, frame_bytes, algorithms))

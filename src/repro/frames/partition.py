@@ -12,8 +12,10 @@ insertion policy searches ``free`` alone. :meth:`place`,
 :meth:`close` are the only code that changes either list, so
 ``free[i] == frame_bytes - Σ size`` over ``frames[i]`` always holds.
 
-The partition places its records within the operator's
-:class:`~repro.frames.pool.BufferPool` and writes its own frames out;
+A partition is made with the operator's
+:class:`~repro.frames.pool.BufferPool`, which funds its frames, and its
+side's spill-file factory. It places its records within the pool, writes
+its own frames out and tells its insertion policy when they are cut;
 which partition spills, and when, is the growth policy's decision.
 """
 from __future__ import annotations
@@ -21,23 +23,26 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..insertion.policies import AppendN, InsertionPolicy
-from .spillfile import MemorySpillFile, Record, SpillFile
+from .spillfile import Record, SpillFile
 
 if TYPE_CHECKING:
-    from ..core.stats import JoinStats, Phase
     from .pool import BufferPool
+
+#: makes the spill file of partition ``pid``, labelled with its side and round
+SpillFiles = Callable[[int], SpillFile]
 
 
 class Partition:
     """One build- or probe-side partition of the Dynamic HHJ operator."""
 
-    def __init__(self, pid: int, frame_bytes: int,
-                 spill_file_factory: Callable[[], SpillFile] = MemorySpillFile,
+    def __init__(self, pid: int, frame_bytes: int, pool: "BufferPool",
+                 spill_files: SpillFiles,
                  insertion: Optional[InsertionPolicy] = None) -> None:
         if frame_bytes <= 0:
             raise ValueError(f"frame_bytes must be positive, got {frame_bytes}")
         self.pid = pid
         self.frame_bytes = frame_bytes
+        self.pool = pool
         #: the records of each in-memory frame, oldest frame first
         self.frames: List[List[Record]] = []
         #: free bytes of each in-memory frame, index for index with ``frames``
@@ -45,7 +50,7 @@ class Partition:
         self.spilled = False
         #: created on the first write
         self.spill_file: Optional[SpillFile] = None
-        self._spill_file_factory = spill_file_factory
+        self._spill_files = spill_files
         #: the operator's default, Append(8), unless the caller picks one
         self.insertion = insertion if insertion is not None else AppendN(8)
 
@@ -68,10 +73,10 @@ class Partition:
         return sum(self.free)
 
     # -- placing records -------------------------------------------------
-    def place(self, rec: Record, pool: "BufferPool",
+    def place(self, rec: Record,
               make_room: Optional[Callable[["Partition"], bool]] = None) -> bool:
         """Place ``rec`` in the frame the insertion policy finds, else in
-        a new frame ``pool`` funds.
+        a new frame the pool funds.
 
         The frames are searched once. While the pool is full,
         ``make_room(self)`` may free frames; it returns False to give up.
@@ -86,64 +91,62 @@ class Partition:
                 free[idx] -= size
                 self.insertion.notify_inserted(idx, size, appended=False)
                 return True
-        while not pool.can_allocate(1):
+        while not self.pool.can_allocate(1):
             if make_room is None or not make_room(self):
                 return False
-        pool.allocate(1)
+        self.pool.allocate(1)
         self.frames.append([rec])
         self.free.append(self.frame_bytes - size)
         self.insertion.notify_inserted(len(self.free) - 1, size, appended=True)
         return True
 
-    def append_buffered(self, rec: Record, pool: "BufferPool", stats: "JoinStats",
-                        phase: "Phase", round_no: int) -> None:
+    def append_buffered(self, rec: Record) -> None:
         """Add ``rec`` to the partition's one output-buffer frame, which
-        ``pool`` funds on first use; when it does not fit, the buffer
+        the pool funds on first use; when it does not fit, the buffer
         first goes to disk as a single-frame (random) write (§6.1)."""
         if not self.frames:
-            pool.allocate(1)
+            self.pool.allocate(1)
             self.frames.append([])
             self.free.append(self.frame_bytes)
         size = rec[0]
         if size > self.free[0]:
-            self._write([self.frames[0]], stats, phase, round_no)
+            self._write([self.frames[0]])
             self.frames[0] = []
             self.free[0] = self.frame_bytes
         self.frames[0].append(rec)
         self.free[0] -= size
 
     # -- writing out -----------------------------------------------------
-    def write_out(self, pool: "BufferPool", stats: "JoinStats", phase: "Phase",
-                  round_no: int, keep_buffer: bool) -> int:
+    def write_out(self, keep_buffer: bool) -> int:
         """Write the non-empty frames as one op (sequential iff >1 frame)
-        and release the frames to ``pool``, keeping one cleared output
+        and release the frames to the pool, keeping one cleared output
         buffer if ``keep_buffer``. Returns frames freed."""
         n = self.num_frames
         if n == 0:
             return 0
         nonempty = [f for f in self.frames if f]
         if nonempty:
-            self._write(nonempty, stats, phase, round_no)
+            self._write(nonempty)
         if keep_buffer:
             self.frames, self.free = [[]], [self.frame_bytes]
             n -= 1
         else:
             self.frames, self.free = [], []
-        pool.release(n)
+        self.pool.release(n)
+        self.insertion.notify_spilled()
         return n
 
-    def drop_frames(self, pool: "BufferPool") -> None:
+    def drop_frames(self) -> None:
         """Release every frame without writing it: its records are
         already in the spill file."""
-        pool.release(self.num_frames)
+        self.pool.release(self.num_frames)
         self.frames, self.free = [], []
         self.insertion.notify_spilled()
 
-    def _write(self, frames: List[List[Record]], stats: "JoinStats", phase: "Phase",
-               round_no: int) -> None:
+    def _write(self, frames: List[List[Record]]) -> None:
         if self.spill_file is None:
-            self.spill_file = self._spill_file_factory()
-        self.spill_file.write_frames(frames, stats, phase, self.pid, round_no)
+            self.spill_file = self._spill_files(self.pid)
+        self.spill_file.write_frames(frames)
 
     def close(self) -> None:
         if self.spill_file is not None:

@@ -14,6 +14,9 @@ operator's :class:`~repro.core.stats.JoinStats` through the two methods
 they share: every write through :meth:`SpillFile.write_frames`, every
 replay through :meth:`SpillFile.replay`. The I/O accounting (and hence
 the storage model) sees exactly what the files hold.
+
+A file is made with the stats it records into and owns the label of
+its writes: its side (build or probe), partition and round.
 """
 from __future__ import annotations
 
@@ -36,7 +39,11 @@ Record = Tuple[int, Any, Any]
 class SpillFile:
     """Write counters and accounted writes and replays of a spill file."""
 
-    def __init__(self) -> None:
+    def __init__(self, stats: "JoinStats", phase: "Phase", pid: int,
+                 round_no: int) -> None:
+        self.stats = stats
+        #: every write's ``(phase, pid, round_no)``
+        self.label = (phase, pid, round_no)
         self.frames_written = 0
         self.bytes_written = 0
 
@@ -46,32 +53,32 @@ class SpillFile:
     def read_all(self) -> Iterator[Record]:
         raise NotImplementedError
 
-    def write_frames(self, frames: Sequence[Sequence[Record]], stats: "JoinStats",
-                     phase: "Phase", pid: int, round_no: int) -> None:
-        """Write ``frames`` (each a list of records) as one write op of
-        partition ``pid``.
+    def write_frames(self, frames: Sequence[Sequence[Record]]) -> None:
+        """Write ``frames`` (each a list of records) as one write op
+        under this file's label.
 
-        The only place a write is recorded in ``stats``, from this file's
+        The only place a write is recorded in the stats, from this file's
         own counters, so the two cannot drift apart.
         """
         frames0, bytes0 = self.frames_written, self.bytes_written
         for f in frames:
             self.write_frame(f)
-        stats.record_write(self.frames_written - frames0,
-                           self.bytes_written - bytes0, phase, pid, round_no)
+        self.stats.record_write(self.frames_written - frames0,
+                                self.bytes_written - bytes0, *self.label)
 
-    def replay(self, stats: "JoinStats") -> Iterator[Record]:
+    def replay(self) -> Iterator[Record]:
         """Every record in write order; the only place a read is charged
-        to ``stats`` (all frames written, when the replay is asked for)."""
-        stats.frames_read += self.frames_written
+        to the stats (all frames written, when the replay is asked for)."""
+        self.stats.frames_read += self.frames_written
         return self.read_all()
 
 
 class MemorySpillFile(SpillFile):
     """In-memory stand-in for a partition's disk file."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, stats: "JoinStats", phase: "Phase", pid: int,
+                 round_no: int) -> None:
+        super().__init__(stats, phase, pid, round_no)
         self._records: List[Record] = []
 
     def write_frame(self, records: Sequence[Record]) -> None:
@@ -91,8 +98,9 @@ class MemorySpillFile(SpillFile):
 class DiskSpillFile(SpillFile):
     """Real temp-file spill target (pickle per frame batch)."""
 
-    def __init__(self, dir: str | None = None) -> None:
-        super().__init__()
+    def __init__(self, stats: "JoinStats", phase: "Phase", pid: int, round_no: int,
+                 dir: str | None = None) -> None:
+        super().__init__(stats, phase, pid, round_no)
         fd, self.path = tempfile.mkstemp(prefix="repro-spill-", dir=dir)
         self._f = os.fdopen(fd, "w+b")
 

@@ -22,25 +22,28 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..frames.partition import Partition
-from ..frames.pool import BufferPool
 from ..frames.spillfile import Record
 from ..victim.policies import VictimContext, VictimPolicy
 
 if TYPE_CHECKING:
-    from ..core.stats import JoinStats, Phase
+    from ..core.stats import JoinStats
 
 
 class GrowthPolicy:
     """Base growth policy: shared initial-spill mechanics.
 
-    The only caller of a §7 :class:`VictimPolicy`: every resident
-    partition the operator spills is picked in :meth:`_spill_resident`.
+    Made with the operator's §7 :class:`VictimPolicy` and its stats. The
+    only caller of the victim policy: every resident partition the
+    operator spills is picked in :meth:`_spill_resident`.
     """
 
     name = "base"
 
-    def initial_spill(self, part: Partition, pool: BufferPool, stats: JoinStats,
-                      phase: Phase, round_no: int) -> int:
+    def __init__(self, victim: VictimPolicy, stats: "JoinStats") -> None:
+        self.victim = victim
+        self.stats = stats
+
+    def initial_spill(self, part: Partition) -> int:
         """Spill a memory-resident partition for the first time.
 
         Writes all its frames as one sequential chunk, keeps one cleared
@@ -48,24 +51,21 @@ class GrowthPolicy:
         empty partition allocates its buffer lazily on first insert.
         """
         assert not part.spilled, f"partition {part.pid} already spilled"
-        freed = part.write_out(pool, stats, phase, round_no, keep_buffer=True)
+        freed = part.write_out(keep_buffer=True)
         part.spilled = True
-        stats.partitions_spilled += 1
+        self.stats.partitions_spilled += 1
         return freed
 
-    def flush_spilled(self, part: Partition, pool: BufferPool, stats: JoinStats,
-                      phase: Phase, round_no: int, keep_buffer: bool = True) -> int:
+    def flush_spilled(self, part: Partition, keep_buffer: bool = True) -> int:
         """Flush a spilled partition's current frames to its file.
 
         One write op covering all its frames (sequential iff >1 frame).
         Returns frames freed.
         """
-        return part.write_out(pool, stats, phase, round_no, keep_buffer)
+        return part.write_out(keep_buffer)
 
     # -- hooks the operator calls ---------------------------------------
-    def insert_into_spilled(self, part: Partition, rec: Record,
-                            pool: BufferPool, stats: JoinStats,
-                            phase: Phase, round_no: int) -> bool:
+    def insert_into_spilled(self, part: Partition, rec: Record) -> bool:
         """Insert ``rec`` routed to an already-spilled partition.
 
         Returns True on success; False means memory pressure (caller must
@@ -73,22 +73,20 @@ class GrowthPolicy:
         """
         raise NotImplementedError
 
-    def free_memory(self, partitions: Sequence[Partition], ctx: VictimContext,
-                    pool: BufferPool, victim: VictimPolicy, stats: JoinStats,
-                    phase: Phase, round_no: int) -> Optional[Partition]:
+    def free_memory(self, partitions: Sequence[Partition],
+                    ctx: VictimContext) -> Optional[Partition]:
         """Give up memory: returns the partition that spilled or flushed,
         None when no partition holds a frame this policy may take."""
         raise NotImplementedError
 
-    def _spill_resident(self, partitions, ctx, pool, victim, stats,
-                        phase, round_no) -> Optional[Partition]:
+    def _spill_resident(self, partitions: Sequence[Partition],
+                        ctx: VictimContext) -> Optional[Partition]:
         """Spill the memory-resident partition the §7 victim policy picks."""
         candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
         if not candidates:
             return None
-        target = victim.choose(candidates, ctx)
-        self.initial_spill(target, pool, stats, phase, round_no)
-        target.insertion.notify_spilled()
+        target = self.victim.choose(candidates, ctx)
+        self.initial_spill(target)
         return target
 
 
@@ -97,17 +95,15 @@ class NoGrowNoSteal(GrowthPolicy):
 
     name = "ng-ns"
 
-    def insert_into_spilled(self, part, rec, pool, stats, phase, round_no) -> bool:
-        if part.num_frames == 0 and not pool.can_allocate(1):
+    def insert_into_spilled(self, part, rec) -> bool:
+        if part.num_frames == 0 and not part.pool.can_allocate(1):
             return False
         assert part.num_frames <= 1, "NG-NS invariant: one buffer per spilled partition"
-        part.append_buffered(rec, pool, stats, phase, round_no)
+        part.append_buffered(rec)
         return True
 
-    def free_memory(self, partitions, ctx, pool, victim, stats,
-                    phase, round_no) -> Optional[Partition]:
-        return self._spill_resident(partitions, ctx, pool, victim, stats,
-                                    phase, round_no)
+    def free_memory(self, partitions, ctx) -> Optional[Partition]:
+        return self._spill_resident(partitions, ctx)
 
 
 class GrowSteal(GrowthPolicy):
@@ -115,25 +111,23 @@ class GrowSteal(GrowthPolicy):
 
     name = "g-s"
 
-    def insert_into_spilled(self, part, rec, pool, stats, phase, round_no) -> bool:
-        return part.place(rec, pool)
+    def insert_into_spilled(self, part, rec) -> bool:
+        return part.place(rec)
 
-    def free_memory(self, partitions, ctx, pool, victim, stats,
-                    phase, round_no) -> Optional[Partition]:
+    def free_memory(self, partitions, ctx) -> Optional[Partition]:
         # Steal: flush the spilled partition holding the most frames.
         spilled = [p for p in partitions if p.spilled and p.num_frames > 1]
         if spilled:
             target = max(spilled, key=lambda p: (p.num_frames, -p.pid))
-            self.flush_spilled(target, pool, stats, phase, round_no)
-            target.insertion.notify_spilled()
+            self.flush_spilled(target)
             return target
-        return self._spill_resident(partitions, ctx, pool, victim, stats,
-                                    phase, round_no)
+        return self._spill_resident(partitions, ctx)
 
 
-def make_policy(name: str) -> GrowthPolicy:
-    """Construct a growth policy from its canonical name."""
+def make_policy(name: str, victim: VictimPolicy, stats: "JoinStats") -> GrowthPolicy:
+    """Construct a growth policy from its canonical name, with the victim
+    policy it calls and the stats it counts spilled partitions in."""
     table = {"ng-ns": NoGrowNoSteal, "g-s": GrowSteal}
     if name not in table:
         raise KeyError(f"unknown growth policy {name!r}; choose from {sorted(table)}")
-    return table[name]()
+    return table[name](victim, stats)

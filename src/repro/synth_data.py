@@ -164,8 +164,7 @@ def normal_skew_ints(*, n: int, cardinality: int, seed: int = 0) -> np.ndarray:
 
 def wisconsin(spark: SparkSession, *, n: int, dataset: str = "all-small",
               pct_large: float = 0.0, skew: bool = False,
-              unique_keys: bool = True, seed: int = 0,
-              side: str = "build") -> DataFrame:
+              unique_keys: bool = True, seed: int = 0) -> DataFrame:
     """Spark DataFrame version of the Wisconsin-lite relation.
 
     Columns: ``unique1`` (join attribute), ``unique2`` (unique int),

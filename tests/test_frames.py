@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.join import DynamicHybridHashJoin, HHJConfig
-from repro.core.stats import JoinStats
+from repro.core.stats import JoinStats, WriteOp
 from repro.frames import (
     DEFAULT_FRAME_BYTES,
     BufferPool,
@@ -15,19 +15,20 @@ from repro.frames import (
     Partition,
 )
 from repro.growth import GrowSteal
-from repro.insertion import default_policies, make_policy
+from repro.insertion import NextFit, default_policies, make_policy
 from repro.victim import VictimContext, make_policy as make_victim
 
-from tests.util import assert_free_list_invariant
+from tests.util import assert_free_list_invariant, spill_files
 
 
-def placed(cap, *sizes, pool=None):
+def placed(cap, *sizes, pool=None, stats=None):
     """A partition of ``cap``-byte frames holding records of ``sizes``,
     placed by its default insertion policy (Append(8))."""
-    p = Partition(0, cap)
     pool = pool if pool is not None else BufferPool(max(3, len(sizes)))
+    stats = stats if stats is not None else JoinStats(cap)
+    p = Partition(0, cap, pool, spill_files(stats))
     for i, size in enumerate(sizes):
-        assert p.place((size, i, f"r{i}"), pool)
+        assert p.place((size, i, f"r{i}"))
     return p
 
 
@@ -42,9 +43,8 @@ class TestFrame:
     @pytest.mark.parametrize("cap", [1, 100, 4096, 32768])
     def test_fresh_frame_is_empty(self, cap):
         # a spilled partition's output buffer is a fresh frame
-        pool = BufferPool(3)
-        p = placed(cap, cap, pool=pool)
-        p.write_out(pool, JoinStats(cap), "build", 0, keep_buffer=True)
+        p = placed(cap, cap)
+        p.write_out(keep_buffer=True)
         assert p.frames == [[]]
         assert p.free == [cap]
         assert p.in_memory_bytes == 0 and p.in_memory_records == 0
@@ -52,7 +52,7 @@ class TestFrame:
     @pytest.mark.parametrize("cap", [0, -1, -32768])
     def test_invalid_capacity_rejected(self, cap):
         with pytest.raises(ValueError, match="frame_bytes must be positive"):
-            Partition(0, cap)
+            Partition(0, cap, BufferPool(3), spill_files(JoinStats()))
 
     def test_insert_updates_accounting(self):
         p = placed(1000, 400)
@@ -83,12 +83,11 @@ class TestFrame:
             op.build_only([(1, size, "x")])
 
     def test_clear(self):
-        pool = BufferPool(3)
-        p = placed(1000, 500, pool=pool)
-        p.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=True)
+        p = placed(1000, 500)
+        p.write_out(keep_buffer=True)
         assert p.frames == [[]]
         assert p.free == [1000]
-        assert p.place((1000, 0, "x"), pool) and p.num_frames == 1
+        assert p.place((1000, 0, "x")) and p.num_frames == 1
 
 
 class TestBufferPool:
@@ -125,8 +124,9 @@ class TestBufferPool:
 
 class TestPartition:
     def test_fresh_partition(self):
-        p = Partition(3, 1000)
-        assert p.pid == 3
+        pool = BufferPool(3)
+        p = Partition(3, 1000, pool, spill_files(JoinStats(1000)))
+        assert p.pid == 3 and p.pool is pool
         assert p.num_frames == 0
         assert p.in_memory_bytes == 0
         assert p.in_memory_records == 0
@@ -140,10 +140,9 @@ class TestPartition:
         assert p.fragmentation_bytes == (1000 - 600) + (1000 - 500)
 
     def test_flush_frames_moves_to_spill_file(self):
-        pool = BufferPool(4)
-        p = placed(1000, 500, 400, pool=pool)
-        stats = JoinStats(1000)
-        freed = p.write_out(pool, stats, "build", 0, keep_buffer=False)
+        pool, stats = BufferPool(4), JoinStats(1000)
+        p = placed(1000, 500, 400, pool=pool, stats=stats)
+        freed = p.write_out(keep_buffer=False)
         assert freed == 1 and pool.allocated == 0 and p.frames == [] and p.free == []
         assert stats.build_bytes_spilled == 900
         assert p.spill_file.bytes_written == 900
@@ -151,19 +150,44 @@ class TestPartition:
         assert list(p.spill_file.read_all()) == [(500, 0, "r0"), (400, 1, "r1")]
 
     def test_totals_combine_memory_and_spill(self):
-        pool = BufferPool(4)
-        p = placed(1000, 500, pool=pool)
-        stats = JoinStats(1000)
-        p.write_out(pool, stats, "build", 0, keep_buffer=True)
-        p.append_buffered((200, 1, "b"), pool, stats, "build", 0)
+        p = placed(1000, 500, pool=BufferPool(4))
+        p.write_out(keep_buffer=True)
+        p.append_buffered((200, 1, "b"))
         assert p.in_memory_records + len(list(p.spill_file.read_all())) == 2
         assert p.in_memory_bytes + p.spill_file.bytes_written == 700
+
+    def test_writes_go_to_a_file_labelled_with_the_partition(self):
+        stats = JoinStats(1000)
+        p = Partition(5, 1000, BufferPool(4), spill_files(stats, "probe", 3))
+        p.append_buffered((600, 1, "a"))
+        p.append_buffered((600, 2, "b"))          # the buffer goes out first
+        p.write_out(keep_buffer=False)
+        assert stats.write_trace == [WriteOp(1, "probe", 5, 3), WriteOp(1, "probe", 5, 3)]
+        assert stats.probe_bytes_spilled == 1200
+
+    @pytest.mark.parametrize("keep_buffer", [True, False])
+    def test_cutting_the_frames_resets_the_insertion_policy(self, keep_buffer):
+        # Next-Fit's remembered frame index would point past the frames left
+        stats = JoinStats(1000)
+        p = Partition(0, 1000, BufferPool(8), spill_files(stats), NextFit())
+        for i in range(3):
+            assert p.place((900, i, None))
+        assert p.insertion._last_index == 2
+        p.write_out(keep_buffer)
+        assert p.insertion._last_index is None
+        assert p.place((900, 9, None))
+        p.drop_frames()
+        assert p.insertion._last_index is None
+
+
+def new_file(factory, stats=None, phase="build", pid=0, round_no=0):
+    return factory(stats if stats is not None else JoinStats(), phase, pid, round_no)
 
 
 class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_roundtrip(self, factory):
-        sf = factory()
+        sf = new_file(factory)
         sf.write_frame([(100, "k1", "a"), (200, "k2", "b")])
         sf.write_frame([(300, "k3", "c")])
         assert sf.frames_written == 2
@@ -174,13 +198,13 @@ class TestSpillFiles:
 
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_read_all_is_repeatable(self, factory):
-        sf = factory()
+        sf = new_file(factory)
         sf.write_frame([(100, "k", "v")])
         assert list(sf.read_all()) == list(sf.read_all())
         sf.close()
 
     def test_disk_spill_file_removed_on_close(self):
-        sf = DiskSpillFile()
+        sf = new_file(DiskSpillFile)
         path = sf.path
         assert os.path.exists(path)
         sf.close()
@@ -188,9 +212,22 @@ class TestSpillFiles:
 
     def test_empty_file_reads_nothing(self):
         for factory in (MemorySpillFile, DiskSpillFile):
-            sf = factory()
+            sf = new_file(factory)
             assert list(sf.read_all()) == []
             sf.close()
+
+    @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
+    def test_write_and_replay_are_recorded_under_the_files_label(self, factory):
+        stats = JoinStats(1000)
+        sf = new_file(factory, stats, "probe", 7, 2)
+        sf.write_frames([[(100, "k1", "a"), (200, "k2", "b")], [(300, "k3", "c")]])
+        sf.write_frames([[(400, "k4", "d")]])
+        assert stats.write_trace == [WriteOp(2, "probe", 7, 2), WriteOp(1, "probe", 7, 2)]
+        assert (stats.probe_frames_spilled, stats.probe_bytes_spilled) == (3, 1000)
+        assert stats.build_frames_spilled == 0
+        assert [r[0] for r in sf.replay()] == [100, 200, 300, 400]
+        assert stats.frames_read == 3
+        sf.close()
 
 
 CAP = 1000
@@ -216,13 +253,14 @@ class TestFreeListInvariant:
            st.lists(STEPS, max_size=120))
     def test_random_steps_keep_the_invariant(self, budget, policies, steps):
         pool, stats = BufferPool(budget), JoinStats(CAP)
-        parts = [Partition(pid, CAP, insertion=make_policy(name, seed=pid))
+        parts = [Partition(pid, CAP, pool, spill_files(stats),
+                           insertion=make_policy(name, seed=pid))
                  for pid, name in enumerate(policies)]
-        gs, victim = GrowSteal(), make_victim("largest-size")
+        gs = GrowSteal(make_victim("largest-size"), stats)
 
         def free_memory(part):
             ctx = VictimContext(part.pid, sum(q.spilled for q in parts), len(parts))
-            return gs.free_memory(parts, ctx, pool, victim, stats, "build", 0)
+            return gs.free_memory(parts, ctx)
 
         def make_room(part):
             return free_memory(part) is not None and not part.spilled
@@ -231,16 +269,16 @@ class TestFreeListInvariant:
             part = parts[pid]
             rec = (args[0], n, f"r{n}") if op in ("place", "append_buffered") else None
             if op == "place":
-                part.place(rec, pool, make_room if args[1] else None)
+                part.place(rec, make_room if args[1] else None)
             elif op == "append_buffered":
                 if part.num_frames == 1 or (part.num_frames == 0 and pool.can_allocate(1)):
-                    part.append_buffered(rec, pool, stats, "build", 0)
+                    part.append_buffered(rec)
             elif op == "write_out":
-                part.write_out(pool, stats, "build", 0, keep_buffer=args[0])
+                part.write_out(keep_buffer=args[0])
             elif op == "drop_frames":
-                part.drop_frames(pool)
+                part.drop_frames()
             elif op == "gs_flush":
-                gs.flush_spilled(part, pool, stats, "build", 0)
+                gs.flush_spilled(part)
             else:
                 free_memory(part)
             assert_free_list_invariant(parts, pool)

@@ -4,6 +4,7 @@ The operator must produce *exactly* the naive equijoin output under every
 combination of policies and memory budgets — including budgets that force
 spilling, multi-round recursion, role reversal, bail-out, and reload.
 """
+import hashlib
 import math
 import os
 
@@ -325,6 +326,49 @@ class TestPinnedCounters:
         assert (stats.rounds, stats.role_reversals, stats.frames_reloaded,
                 stats.partitions_spilled) == (50, 56, 70, 127)
         assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def labels(stats):
+        """The control-flow counters, and a digest of the write trace's
+        labels: the size, phase, partition and round of every write, in
+        order (the §6 random/sequential mix and the elevator read them)."""
+        trace = [(w.n_frames, w.phase, w.pid, w.round_no) for w in stats.write_trace]
+        return dict(comparisons=stats.comparisons,
+                    in_memory_rounds=stats.in_memory_rounds,
+                    bnlj_rounds=stats.bnlj_rounds,
+                    frames_reloaded=stats.frames_reloaded,
+                    partitions_spilled=stats.partitions_spilled,
+                    trace_sha256=hashlib.sha256(repr(trace).encode()).hexdigest())
+
+    def test_in_memory_run_labels(self):
+        build = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=21, tag="b")
+        probe = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=22, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=4096, num_partitions=20)
+        assert self.labels(stats) == dict(
+            comparisons=0, in_memory_rounds=0, bnlj_rounds=0, frames_reloaded=0,
+            partitions_spilled=0,
+            trace_sha256="4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945")
+
+    def test_disk_spilling_run_with_recursion_labels(self, tmp_path):
+        build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")
+        probe = make_records(12_000, key_range=12_000, lo=100, hi=300, seed=24, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=12, num_partitions=8,
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert self.labels(stats) == dict(
+            comparisons=54, in_memory_rounds=181, bnlj_rounds=1, frames_reloaded=27,
+            partitions_spilled=300,
+            trace_sha256="175d75452ca62c78eada153a154a9b9e6222a7bb5a8f6ab1810373de56e2f64b")
+
+    def test_grow_steal_run_with_reload_labels(self, tmp_path):
+        build = make_skewed_records(6000, hot_keys=400, lo=100, hi=300, seed=31, tag="b")
+        probe = make_records(6000, key_range=6000, lo=100, hi=300, seed=32, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=16, num_partitions=6,
+                                insertion="next-fit", victim="low-high", growth="g-s",
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert self.labels(stats) == dict(
+            comparisons=0, in_memory_rounds=68, bnlj_rounds=0, frames_reloaded=70,
+            partitions_spilled=127,
+            trace_sha256="5c15b3dd7f61a125216e572a66d6849a25622c8056cdff8b9fdcba7d5afa8113")
 
 
 class TestSplitCalls:

@@ -12,15 +12,19 @@ from repro.victim.policies import (
     SmallestRecords,
 )
 
+from tests.util import spill_files
+
 CAP = 1000
 
 
 def part(pid, record_sizes, frame_bytes=CAP):
-    """Partition with the given record sizes, one frame per record chunk."""
-    p = Partition(pid, frame_bytes)
+    """Partition with the given record sizes, one frame per record chunk,
+    funded by a pool of its own."""
+    p = Partition(pid, frame_bytes, BufferPool(64), spill_files(JoinStats(frame_bytes)))
     for s in record_sizes:
         i = next((i for i, free in enumerate(p.free) if free >= s), None)
         if i is None:
+            p.pool.allocate(1)
             p.frames.append([])
             p.free.append(frame_bytes)
             i = -1
@@ -186,8 +190,6 @@ class TestLargestSizeCountsMemoryOnly:
         a = part(0, [900, 900])
         b = part(1, [800])
         # a flushes everything: in-memory drops to 0
-        pool = BufferPool(4)
-        pool.allocate(a.num_frames)
-        a.write_out(pool, JoinStats(1000), "build", 0, keep_buffer=False)
+        a.write_out(keep_buffer=False)
         pol = LargestSize()
         assert pol.choose([a, b], ctx()).pid == 1

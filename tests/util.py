@@ -4,7 +4,17 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
+from repro.core.stats import JoinStats
+from repro.frames import MemorySpillFile
+from repro.frames.partition import SpillFiles
+
 Record = Tuple[int, int, object]
+
+
+def spill_files(stats: JoinStats, phase: str = "build", round_no: int = 0) -> SpillFiles:
+    """In-memory spill files of one side of one round, recording into
+    ``stats``: what the operator hands each partition it makes."""
+    return lambda pid: MemorySpillFile(stats, phase, pid, round_no)
 
 
 def make_records(n: int, *, key_range: int = 1000, lo: int = 700, hi: int = 1500,
