@@ -207,10 +207,9 @@ class DynamicHybridHashJoin:
         cfg = self.cfg
         if build_frames is not None:
             p = robust_num_partitions(cfg.memory_frames, build_frames,
-                                      TABLE1_FUDGE, cfg.min_partitions)
+                                      cfg.min_partitions)
         else:
             p = cfg.num_partitions or robust_num_partitions(cfg.memory_frames)
-        p = max(2, min(p, cfg.memory_frames))
 
         pool = BufferPool(cfg.memory_frames)
         partitions = self._new_partitions(p, pool, self._spill_files("build", level))

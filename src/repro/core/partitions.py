@@ -11,7 +11,7 @@ and the operator using B+1. The printed Table 1 numbers (build 64…8192 MB,
 M = 128 one-MB frames) are reproduced *exactly* by
 ``P = max(2, B)`` with fudge factor **F = 1.3** — e.g. 512 MB → 5,
 4096 MB → 41, 8192 MB → 83 — and by no (F, B+1) combination we could
-find. We therefore expose ``fudge=1.3`` and ``P = max(2, B)`` as the
+find. We therefore fix ``F = 1.3`` and ``P = max(2, B)`` as the
 Table-1-faithful reading and record the check in tests.
 """
 from __future__ import annotations
@@ -34,16 +34,14 @@ def eq2_disk_partitions(build_frames: float, memory_frames: int,
     return math.ceil((build_frames * fudge - memory_frames) / (memory_frames - 1))
 
 
-def shapiro_num_partitions(build_frames: float, memory_frames: int,
-                           fudge: float = TABLE1_FUDGE) -> int:
+def shapiro_num_partitions(build_frames: float, memory_frames: int) -> int:
     """Table-1 partition count: Eq. 2 clamped to the [2, |M|] valid range."""
-    b = eq2_disk_partitions(build_frames, memory_frames, fudge)
+    b = eq2_disk_partitions(build_frames, memory_frames)
     return max(2, min(b, memory_frames))
 
 
 def robust_num_partitions(memory_frames: int,
                           build_frames: Optional[float] = None,
-                          fudge: float = TABLE1_FUDGE,
                           lower_bound: int = DEFAULT_NUM_PARTITIONS) -> int:
     """The paper's §4 recommendation.
 
@@ -53,5 +51,5 @@ def robust_num_partitions(memory_frames: int,
     """
     if build_frames is None:
         return max(2, min(lower_bound, memory_frames))
-    p = shapiro_num_partitions(build_frames, memory_frames, fudge)
+    p = shapiro_num_partitions(build_frames, memory_frames)
     return max(2, min(max(p, lower_bound), memory_frames))

@@ -23,6 +23,9 @@ from typing import List, Tuple
 
 from .partitions import shapiro_num_partitions
 
+#: Recursion guard: a simulated round this deep is treated as in-memory.
+MAX_DEPTH = 64
+
 
 @dataclass
 class RoundResult:
@@ -76,29 +79,26 @@ def simulate_build_round(build_frames: int, memory_frames: int, p: int) -> Round
 
 
 def simulate_join(build_frames: int, memory_frames: int, first_round_p: int,
-                  probe_frames: int | None = None,
-                  accurate_later_rounds: bool = False,
-                  fudge: float = 1.3, max_depth: int = 64) -> Tuple[int, int]:
-    """Total (build_spill, probe_spill) frames across all HHJ rounds.
+                  accurate_later_rounds: bool = False) -> Tuple[int, int]:
+    """Total (build_spill, probe_spill) frames across all HHJ rounds, for
+    a probe input as large as the build input.
 
     ``accurate_later_rounds=False`` keeps ``first_round_p`` for every
     round (Fig 3); ``True`` recomputes P per round from the now-known
     spilled sizes via Eq. 2 (Fig 4). Final result writing is excluded,
     matching the paper.
     """
-    if probe_frames is None:
-        probe_frames = build_frames
     build_total = 0
     probe_total = 0
     # (build, probe, p, depth) work-list of join rounds still to run
     stack: List[Tuple[int, int, int, int]] = [
-        (build_frames, probe_frames, first_round_p, 0)
+        (build_frames, build_frames, first_round_p, 0)
     ]
     while stack:
         b, pr, p, depth = stack.pop()
         if b <= 0 or pr <= 0:
             continue
-        if b <= memory_frames or depth >= max_depth:
+        if b <= memory_frames or depth >= MAX_DEPTH:
             continue  # in-memory round: no spilling
         res = simulate_build_round(b, memory_frames, p)
         build_total += res.build_spilled
@@ -109,7 +109,7 @@ def simulate_join(build_frames: int, memory_frames: int, first_round_p: int,
         next_p = p
         for part_b, part_pr in zip(res.spilled_parts, probe_share):
             if accurate_later_rounds:
-                next_p = shapiro_num_partitions(part_b, memory_frames, fudge)
+                next_p = shapiro_num_partitions(part_b, memory_frames)
             stack.append((part_b, part_pr, next_p, depth + 1))
     return build_total, probe_total
 

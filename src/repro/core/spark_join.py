@@ -26,10 +26,11 @@ from pyspark.sql.types import StructField, StructType
 from .join import DynamicHybridHashJoin, HHJConfig
 
 _PART_COL = "__hhj_part"
+#: appended to a probe column name until it collides with no other column
+_SUFFIX = "_r"
 
 
-def _output_schema(build: DataFrame, probe: DataFrame,
-                   suffix: str) -> Tuple[StructType, list, list]:
+def _output_schema(build: DataFrame, probe: DataFrame) -> Tuple[StructType, list, list]:
     """Build-side fields plus probe-side fields, renaming collisions."""
     bfields = list(build.schema.fields)
     bnames = {f.name for f in bfields}
@@ -38,7 +39,7 @@ def _output_schema(build: DataFrame, probe: DataFrame,
     for f in probe.schema.fields:
         name = f.name
         while name in bnames:
-            name = name + suffix
+            name = name + _SUFFIX
         pnames.append(name)
         pfields.append(StructField(name, f.dataType, True))
         bnames.add(name)
@@ -58,8 +59,7 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
                      build_key: str, probe_key: str,
                      cfg: Optional[HHJConfig] = None,
                      num_spark_partitions: Optional[int] = None,
-                     size_column: Optional[str] = None,
-                     suffix: str = "_r") -> DataFrame:
+                     size_column: Optional[str] = None) -> DataFrame:
     """Equi-join ``build ⋈ probe`` with the Dynamic HHJ operator.
 
     Parameters mirror AsterixDB's setup: ``cfg.memory_frames`` is the
@@ -72,8 +72,9 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     raises ``ValueError``. A size outside ``(0, cfg.frame_bytes]`` fails
     the join, as it does in the operator.
 
-    Returns all build columns followed by all probe columns (collisions
-    suffixed). Inner-join semantics: null keys never match.
+    Returns all build columns followed by all probe columns, a probe
+    column whose name is taken suffixed with ``_r``. Inner-join semantics:
+    null keys never match.
     """
     if size_column is not None and not (size_column in build.columns
                                         or size_column in probe.columns):
@@ -84,7 +85,7 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     n = num_spark_partitions or int(
         spark.conf.get("spark.sql.shuffle.partitions", "16")
     )
-    out_schema, bnames, pnames = _output_schema(build, probe, suffix)
+    out_schema, bnames, pnames = _output_schema(build, probe)
     b = (build.where(F.col(build_key).isNotNull())
               .withColumn(_PART_COL, F.pmod(F.xxhash64(F.col(build_key)), F.lit(n))))
     p = (probe.where(F.col(probe_key).isNotNull())

@@ -76,7 +76,7 @@ class JoinStats:
 
     # -- recording -------------------------------------------------------
     def record_write(self, n_frames: int, payload_bytes: int,
-                     phase: Phase, pid: int, round_no: int = 0) -> None:
+                     phase: Phase, pid: int, round_no: int) -> None:
         if n_frames <= 0:
             return
         self.write_trace.append(WriteOp(n_frames, phase, pid, round_no))

@@ -13,18 +13,15 @@ from typing import Sequence
 
 import pandas as pd
 
-from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..synth_data import wisconsin_record_stream
-from .fig9 import ALGORITHMS, insertion_runs
+from .fig9 import insertion_runs
+from .runner import avg_record_bytes
 
 PCTS_LARGE = (0.1, 0.5, 0.9)
 
 
 def _variable_size_experiment(dataset: str, pcts_large: Sequence[float],
-                              n_bytes_target: int, frame_bytes: int,
-                              algorithms: Sequence[str], seed: int) -> pd.DataFrame:
-    from .runner import avg_record_bytes
-
+                              n_bytes_target: int, seed: int) -> pd.DataFrame:
     rows = []
     for pct in pcts_large:
         n = max(1, int(n_bytes_target / avg_record_bytes(dataset, pct)))
@@ -33,21 +30,17 @@ def _variable_size_experiment(dataset: str, pcts_large: Sequence[float],
         probe = wisconsin_record_stream(n=n, dataset=dataset, pct_large=pct,
                                         seed=seed + 100)
         rows += [{"dataset": dataset, "pct_large": pct, **row}
-                 for row in insertion_runs(build, probe, frame_bytes, algorithms)]
+                 for row in insertion_runs(build, probe)]
     return pd.DataFrame(rows)
 
 
-def fig10(n_bytes_target: int = 32 << 20, frame_bytes: int = DEFAULT_FRAME_BYTES,
-          pcts_large: Sequence[float] = PCTS_LARGE,
-          algorithms: Sequence[str] = ALGORITHMS, seed: int = 0) -> pd.DataFrame:
+def fig10(n_bytes_target: int = 32 << 20,
+          pcts_large: Sequence[float] = PCTS_LARGE, seed: int = 0) -> pd.DataFrame:
     """3-Large Record Coexist sweep (paper Fig 10)."""
-    return _variable_size_experiment("3-large", pcts_large, n_bytes_target,
-                                     frame_bytes, algorithms, seed)
+    return _variable_size_experiment("3-large", pcts_large, n_bytes_target, seed)
 
 
-def fig11(n_bytes_target: int = 32 << 20, frame_bytes: int = DEFAULT_FRAME_BYTES,
-          pcts_large: Sequence[float] = PCTS_LARGE,
-          algorithms: Sequence[str] = ALGORITHMS, seed: int = 0) -> pd.DataFrame:
+def fig11(n_bytes_target: int = 32 << 20,
+          pcts_large: Sequence[float] = PCTS_LARGE, seed: int = 0) -> pd.DataFrame:
     """1-Large Record Coexist sweep (paper Fig 11)."""
-    return _variable_size_experiment("1-large", pcts_large, n_bytes_target,
-                                     frame_bytes, algorithms, seed)
+    return _variable_size_experiment("1-large", pcts_large, n_bytes_target, seed)

@@ -22,6 +22,7 @@ from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..storage.device import HDD, response_time
 from ..storage.elevator import elevator_coalesce
 from ..synth_data import wisconsin_record_stream
+from .runner import avg_record_bytes, records_for_ratio
 
 #: the paper's input-size / memory-size ratios (1.2GB…100GB over 1024MB)
 PAPER_RATIOS = (1.2 * 1024 / 1024, 2 * 1024 / 1024, 10 * 1024 / 1024,
@@ -30,21 +31,18 @@ PAPER_RATIOS = (1.2 * 1024 / 1024, 2 * 1024 / 1024, 10 * 1024 / 1024,
 
 def fig12(memory_frames: int = 128,
           ratios: Sequence[float] = PAPER_RATIOS,
-          frame_bytes: int = DEFAULT_FRAME_BYTES,
           cache_frames: int = 1024, seed: int = 0) -> pd.DataFrame:
     """Both growth policies across the ratio sweep, ± filesystem cache."""
-    from .runner import avg_record_bytes, records_for_ratio
-
     avg = avg_record_bytes("all-small", 0.0)
     rows = []
     for ratio in ratios:
-        n = records_for_ratio(ratio, memory_frames, frame_bytes, avg)
+        n = records_for_ratio(ratio, memory_frames, DEFAULT_FRAME_BYTES, avg)
         build = wisconsin_record_stream(n=n, dataset="all-small", seed=seed)
         probe = wisconsin_record_stream(n=n, dataset="all-small", seed=seed + 1)
         input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
         for growth in ("g-s", "ng-ns"):
-            cfg = HHJConfig(memory_frames=memory_frames, frame_bytes=frame_bytes,
-                            growth=growth, victim="largest-size",
+            cfg = HHJConfig(memory_frames=memory_frames, growth=growth,
+                            victim="largest-size",
                             num_partitions=min(20, memory_frames))
             op = DynamicHybridHashJoin(cfg)
             out_pairs = sum(1 for _ in op.run(build, probe))
@@ -68,10 +66,8 @@ def fig12(memory_frames: int = 128,
                 "seq_ops_cached": sum(1 for w in cached if w.sequential),
                 "rand_ops_cached": sum(1 for w in cached if not w.sequential),
                 "time_hdd_direct_s": response_time(s, HDD, input_bytes,
-                                                   frame_bytes,
                                                    use_fs_cache=False),
                 "time_hdd_cached_s": response_time(s, HDD, input_bytes,
-                                                   frame_bytes,
                                                    use_fs_cache=True,
                                                    cache_frames=cache_frames),
             })

@@ -19,13 +19,12 @@ from ..synth_data import wisconsin_record_stream
 PCTS_LARGE = (0.9, 0.5, 0.1)
 
 
-def _run_insertion(records, factory, frame_bytes: int = DEFAULT_FRAME_BYTES,
-                   num_partitions: int = 20):
+def _run_insertion(records, factory):
     """Build phase with ample memory; returns (fullness, frames_searched)."""
     total_bytes = sum(r[1] for r in records)
-    ample = 2 * (total_bytes // frame_bytes + 1) + num_partitions + 8
-    cfg = HHJConfig(memory_frames=int(ample), frame_bytes=frame_bytes,
-                    num_partitions=num_partitions, insertion=factory)
+    # twice the build's frames, plus a frame per partition and 8 spare
+    ample = 2 * (total_bytes // DEFAULT_FRAME_BYTES + 1) + 20 + 8
+    cfg = HHJConfig(memory_frames=ample, num_partitions=20, insertion=factory)
     op = DynamicHybridHashJoin(cfg)
     op.build_only(records)
     assert op.stats.partitions_spilled == 0, "sweep must not spill"

@@ -9,31 +9,29 @@ exactly the paper's point (Best-Fit worst, Append(8) best).
 """
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
 from ..frames.frame import DEFAULT_FRAME_BYTES
-from ..insertion.policies import default_policies
+from ..insertion.policies import NAMES
 from ..storage.device import DEVICES, response_time
 from ..synth_data import wisconsin_record_stream
 
-ALGORITHMS = tuple(default_policies().keys())
+ALGORITHMS = NAMES
 
 
-def insertion_runs(build, probe, frame_bytes: int,
-                   algorithms: Sequence[str]) -> List[dict]:
+def insertion_runs(build, probe) -> List[dict]:
     """One no-spill join of ``build`` and ``probe`` per insertion
     algorithm: frame fullness, frames searched, output pairs and the
     modeled response time on each device."""
     input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
-    total_frames = sum(r[1] for r in build) // frame_bytes + 1
+    total_frames = sum(r[1] for r in build) // DEFAULT_FRAME_BYTES + 1
     ample = int(2 * total_frames + 64)
     rows = []
-    for alg in algorithms:
-        cfg = HHJConfig(memory_frames=ample, frame_bytes=frame_bytes,
-                        num_partitions=20, insertion=alg)
+    for alg in ALGORITHMS:
+        cfg = HHJConfig(memory_frames=ample, num_partitions=20, insertion=alg)
         op = DynamicHybridHashJoin(cfg)
         # drain the join; output pairs themselves are not the metric
         n_out = sum(1 for _ in op.run(build, probe))
@@ -41,16 +39,13 @@ def insertion_runs(build, probe, frame_bytes: int,
                "frames_searched": op.stats.frames_searched,
                "out_pairs": n_out}
         for dev_name, dev in DEVICES.items():
-            row[f"time_{dev_name}_s"] = response_time(op.stats, dev, input_bytes,
-                                                      frame_bytes)
+            row[f"time_{dev_name}_s"] = response_time(op.stats, dev, input_bytes)
         rows.append(row)
     return rows
 
 
-def fig9(n: int = 30_000, frame_bytes: int = DEFAULT_FRAME_BYTES,
-         algorithms: Sequence[str] = ALGORITHMS,
-         seed: int = 0) -> pd.DataFrame:
+def fig9(n: int = 30_000, seed: int = 0) -> pd.DataFrame:
     """Fullness + modeled response time per insertion algorithm."""
     build = wisconsin_record_stream(n=n, dataset="all-small", seed=seed)
     probe = wisconsin_record_stream(n=n, dataset="all-small", seed=seed + 100)
-    return pd.DataFrame(insertion_runs(build, probe, frame_bytes, algorithms))
+    return pd.DataFrame(insertion_runs(build, probe))

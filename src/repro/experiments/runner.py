@@ -7,18 +7,17 @@ be diffed against the numbers recorded in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-import sys
-
 import pandas as pd
 
+from ..synth_data import WISCONSIN_SIZES
 
-def show(title: str, df: pd.DataFrame, file=None) -> None:
+
+def show(title: str, df: pd.DataFrame) -> None:
     """Print one experiment's result table in a stable, diffable format."""
-    file = file or sys.stdout
-    print(f"\n=== {title} ===", file=file)
+    print(f"\n=== {title} ===")
     with pd.option_context("display.width", 200, "display.max_columns", 50,
                            "display.max_rows", 500):
-        print(df.to_string(index=False), file=file)
+        print(df.to_string(index=False))
 
 
 def records_for_ratio(ratio: float, memory_frames: int, frame_bytes: int,
@@ -30,8 +29,6 @@ def records_for_ratio(ratio: float, memory_frames: int, frame_bytes: int,
 
 def avg_record_bytes(dataset: str, pct_large: float) -> float:
     """Expected record size of a Table 2 dataset configuration."""
-    from ..synth_data import WISCONSIN_SIZES
-
     spec = WISCONSIN_SIZES[dataset]
     lo_s, hi_s = spec["small"]
     small = (lo_s + hi_s) / 2

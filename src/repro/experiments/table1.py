@@ -16,11 +16,11 @@ PAPER_TABLE1 = {64: 2, 128: 2, 256: 2, 512: 5, 1024: 10, 2048: 20, 4096: 41, 819
 MEMORY_FRAMES = 128  # 128 MB at 1 MB per frame
 
 
-def table1(memory_frames: int = MEMORY_FRAMES) -> pd.DataFrame:
+def table1() -> pd.DataFrame:
     """Paper value vs our Eq. 2 implementation for every Table 1 row."""
     rows = []
     for build_mb, paper_p in PAPER_TABLE1.items():
-        ours = shapiro_num_partitions(build_mb, memory_frames)
+        ours = shapiro_num_partitions(build_mb, MEMORY_FRAMES)
         rows.append({
             "build_size_mb": build_mb,
             "paper_partitions": paper_p,

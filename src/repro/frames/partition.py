@@ -89,7 +89,7 @@ class Partition:
             if idx is not None:
                 self.frames[idx].append(rec)
                 free[idx] -= size
-                self.insertion.notify_inserted(idx, size, appended=False)
+                self.insertion.notify_inserted(idx, size)
                 return True
         while not self.pool.can_allocate(1):
             if make_room is None or not make_room(self):
@@ -97,7 +97,7 @@ class Partition:
         self.pool.allocate(1)
         self.frames.append([rec])
         self.free.append(self.frame_bytes - size)
-        self.insertion.notify_inserted(len(self.free) - 1, size, appended=True)
+        self.insertion.notify_inserted(len(self.free) - 1, size)
         return True
 
     def append_buffered(self, rec: Record) -> None:

@@ -37,8 +37,6 @@ class GrowthPolicy:
     operator spills is picked in :meth:`_spill_resident`.
     """
 
-    name = "base"
-
     def __init__(self, victim: VictimPolicy, stats: "JoinStats") -> None:
         self.victim = victim
         self.stats = stats
@@ -93,8 +91,6 @@ class GrowthPolicy:
 class NoGrowNoSteal(GrowthPolicy):
     """NG-NS: spilled partitions own exactly one output-buffer frame."""
 
-    name = "ng-ns"
-
     def insert_into_spilled(self, part, rec) -> bool:
         if part.num_frames == 0 and not part.pool.can_allocate(1):
             return False
@@ -108,8 +104,6 @@ class NoGrowNoSteal(GrowthPolicy):
 
 class GrowSteal(GrowthPolicy):
     """G-S: spilled partitions grow while memory lasts; steal from them first."""
-
-    name = "g-s"
 
     def insert_into_spilled(self, part, rec) -> bool:
         return part.place(rec)

@@ -5,9 +5,9 @@ from .policies import (
     FirstFit,
     FirstFitPct,
     InsertionPolicy,
+    NAMES,
     NextFit,
     RandomPct,
-    default_policies,
     make_policy,
 )
 
@@ -17,8 +17,8 @@ __all__ = [
     "FirstFit",
     "FirstFitPct",
     "InsertionPolicy",
+    "NAMES",
     "NextFit",
     "RandomPct",
-    "default_policies",
     "make_policy",
 ]

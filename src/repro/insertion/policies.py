@@ -24,8 +24,6 @@ from typing import List, Optional
 class InsertionPolicy:
     """Base class: bookkeeping shared by all §5 algorithms."""
 
-    name = "base"
-
     def __init__(self) -> None:
         self.frames_searched = 0
 
@@ -36,8 +34,9 @@ class InsertionPolicy:
         """Index of a frame with ``size`` bytes free, or None to allocate."""
         raise NotImplementedError
 
-    def notify_inserted(self, index: int, size: int, appended: bool) -> None:
-        """Hook for stateful policies (Next-Fit); default is stateless."""
+    def notify_inserted(self, index: int, size: int) -> None:
+        """Hook for stateful policies (Next-Fit): a record of ``size``
+        bytes went into frame ``index``. The default is stateless."""
 
     def notify_spilled(self) -> None:
         """Hook: the partition's frame array was truncated by a spill."""
@@ -64,7 +63,6 @@ class AppendN(InsertionPolicy):
         if n < 1:
             raise ValueError("Append(n) needs n >= 1")
         self.n = n
-        self.name = f"append({n})"
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         return self._newest_first(free, size, max(0, len(free) - self.n))
@@ -72,8 +70,6 @@ class AppendN(InsertionPolicy):
 
 class FirstFit(InsertionPolicy):
     """First-Fit: scan every frame newest→oldest, stop at the first fit."""
-
-    name = "first-fit"
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         return self._newest_first(free, size, 0)
@@ -87,7 +83,6 @@ class FirstFitPct(InsertionPolicy):
         if not 0 < pct <= 1:
             raise ValueError("First-Fit(%p) needs 0 < p <= 1")
         self.pct = pct
-        self.name = f"first-fit({int(pct * 100)}%)"
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         limit = math.ceil(self.pct * len(free))
@@ -96,8 +91,6 @@ class FirstFitPct(InsertionPolicy):
 
 class BestFit(InsertionPolicy):
     """Best-Fit: scan *all* frames, pick the tightest fit."""
-
-    name = "best-fit"
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         n = len(free)
@@ -124,8 +117,6 @@ class NextFit(InsertionPolicy):
     to newer frames on failure.
     """
 
-    name = "next-fit"
-
     def __init__(self) -> None:
         super().__init__()
         self._last_index: Optional[int] = None
@@ -136,7 +127,7 @@ class NextFit(InsertionPolicy):
         self._last_index = None
         self._last_size = None
 
-    def notify_inserted(self, index: int, size: int, appended: bool) -> None:
+    def notify_inserted(self, index: int, size: int) -> None:
         self._last_index = index
         self._last_size = size
 
@@ -180,7 +171,6 @@ class RandomPct(InsertionPolicy):
             raise ValueError("Random(%p) needs 0 < p <= 1")
         self.pct = pct
         self.rng = random.Random(seed)   # the operator seeds it with the pid
-        self.name = f"random({int(pct * 100)}%)"
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         if not free:
@@ -205,9 +195,8 @@ _CONSTRUCTORS = {
 }
 
 
-def default_policies() -> dict:
-    """Fresh instances of the six §5.3 contenders, keyed by canonical name."""
-    return {name: make(0) for name, make in _CONSTRUCTORS.items()}
+#: the canonical names, in the paper's order
+NAMES = tuple(_CONSTRUCTORS)
 
 
 def make_policy(name: str, seed: int = 0) -> InsertionPolicy:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..core.stats import JoinStats, WriteOp
+from .elevator import elevator_coalesce
 
 
 @dataclass(frozen=True)
@@ -79,20 +80,16 @@ def scan_time(total_bytes: float, device: DeviceProfile,
     return n_streams * device.op_overhead_s + total_bytes / device.bandwidth_bytes_s
 
 
-def response_time(stats: JoinStats, device: DeviceProfile,
-                  input_bytes: float, frame_bytes: int | None = None,
-                  cpu: CpuModel = DEFAULT_CPU,
-                  use_fs_cache: bool = False,
-                  cache_frames: int = 1024) -> float:
+def response_time(stats: JoinStats, device: DeviceProfile, input_bytes: float,
+                  use_fs_cache: bool = False, cache_frames: int = 1024) -> float:
     """End-to-end modeled response time of one join execution.
 
     input scan + spill writes (optionally through the elevator cache) +
-    re-reads of spilled data + CPU work. I/O and CPU are summed, not
-    overlapped — a deliberate simplification that preserves orderings.
+    re-reads of spilled data + CPU work (:data:`DEFAULT_CPU`). I/O and
+    CPU are summed, not overlapped — a deliberate simplification that
+    preserves orderings.
     """
-    from .elevator import elevator_coalesce  # local import avoids cycle
-
-    fb = frame_bytes if frame_bytes is not None else stats.frame_bytes
+    fb = stats.frame_bytes
     trace = stats.write_trace
     if use_fs_cache:
         trace = elevator_coalesce(trace, cache_frames)
@@ -100,4 +97,4 @@ def response_time(stats: JoinStats, device: DeviceProfile,
     io += write_trace_time(trace, fb, device)
     io += scan_time(stats.frames_read * fb, device,
                     n_streams=max(1, stats.partitions_spilled))
-    return io + cpu.time(stats)
+    return io + DEFAULT_CPU.time(stats)

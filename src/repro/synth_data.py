@@ -4,9 +4,15 @@ SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
 benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
 DuckDB oracle sees identical input.
 """
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+if TYPE_CHECKING:  # the record-level generators run without Spark
+    from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -121,14 +127,15 @@ NORMAL_SKEW_SIGMA_FRACTION = 8208 / 985_000
 
 def wisconsin_record_stream(*, n: int, dataset: str = "all-small",
                             pct_large: float = 0.0, skew: bool = False,
-                            unique_keys: bool = True, seed: int = 0):
+                            seed: int = 0):
     """(key, size_bytes, payload=None) records for the record-level operator.
 
     ``dataset`` picks a Table 2 size configuration; ``pct_large`` the
     fraction of large records (0.10/0.50/0.90 in the paper); ``skew``
     draws keys from the paper's Normal distribution instead of unique
-    integers. Sizes and keys are independent (the paper: "no correlation
-    exists between the record sizes and the join attribute values").
+    integers (a permutation of 1..n). Sizes and keys are independent
+    (the paper: "no correlation exists between the record sizes and the
+    join attribute values").
     Returns a list of (key, size, None) triples, deterministic in seed.
     """
     if dataset not in WISCONSIN_SIZES:
@@ -145,10 +152,8 @@ def wisconsin_record_stream(*, n: int, dataset: str = "all-small",
         raise ValueError(f"dataset {dataset!r} has no large records")
     if skew:
         keys = normal_skew_ints(n=n, cardinality=n, seed=seed + 1)
-    elif unique_keys:
-        keys = g.permutation(np.arange(1, n + 1))
     else:
-        keys = g.integers(1, n + 1, n)
+        keys = g.permutation(np.arange(1, n + 1))
     return [(int(k), int(s), None) for k, s in zip(keys, sizes)]
 
 
@@ -164,7 +169,7 @@ def normal_skew_ints(*, n: int, cardinality: int, seed: int = 0) -> np.ndarray:
 
 def wisconsin(spark: SparkSession, *, n: int, dataset: str = "all-small",
               pct_large: float = 0.0, skew: bool = False,
-              unique_keys: bool = True, seed: int = 0) -> DataFrame:
+              seed: int = 0) -> DataFrame:
     """Spark DataFrame version of the Wisconsin-lite relation.
 
     Columns: ``unique1`` (join attribute), ``unique2`` (unique int),
@@ -172,7 +177,7 @@ def wisconsin(spark: SparkSession, *, n: int, dataset: str = "all-small",
     padding the row to roughly that size, capped to keep SF small).
     """
     recs = wisconsin_record_stream(n=n, dataset=dataset, pct_large=pct_large,
-                                   skew=skew, unique_keys=unique_keys, seed=seed)
+                                   skew=skew, seed=seed)
     keys = np.array([r[0] for r in recs], dtype=np.int64)
     sizes = np.array([r[1] for r in recs], dtype=np.int64)
     g = _rng(seed + 7)

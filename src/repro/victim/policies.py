@@ -27,9 +27,7 @@ class VictimContext:
 
 
 class VictimPolicy:
-    """Base class for the 13 §7 policies."""
-
-    name = "base"
+    """Base class for the 13 §7 policies; each names itself in ``name``."""
 
     def choose(self, candidates: Sequence[Partition], ctx: VictimContext) -> Partition:
         raise NotImplementedError
@@ -188,20 +186,15 @@ class RecordSizeRatio(VictimPolicy):
         return self._min(pool, lambda p: p.in_memory_records)
 
 
-ALL_POLICY_CLASSES = [
+_BY_NAME = {cls.name: cls for cls in (
     LargestSize, LargestRecords, LargestSizeSelfVictim,
     MedianSize, MedianRecords,
     SmallestSize, SmallestRecords, SmallestSizeSelfVictim,
     RandomVictim, HalfEmpty, LeastFragmentation, LowHigh, RecordSizeRatio,
-]
+)}
 
-
-_BY_NAME = {cls.name: cls for cls in ALL_POLICY_CLASSES}
-
-
-def default_policies() -> dict:
-    """Fresh instances of all 13 §7 policies, keyed by canonical name."""
-    return {name: cls() for name, cls in _BY_NAME.items()}
+#: the canonical names of the 13 policies, in the paper's order
+NAMES = tuple(_BY_NAME)
 
 
 def make_policy(name: str) -> VictimPolicy:

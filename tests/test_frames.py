@@ -15,7 +15,7 @@ from repro.frames import (
     Partition,
 )
 from repro.growth import GrowSteal
-from repro.insertion import NextFit, default_policies, make_policy
+from repro.insertion import NAMES, NextFit, make_policy
 from repro.victim import VictimContext, make_policy as make_victim
 
 from tests.util import assert_free_list_invariant, spill_files
@@ -248,7 +248,7 @@ class TestFreeListInvariant:
     the records, and the pool funds exactly the frames held."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(3, 12), st.lists(st.sampled_from(sorted(default_policies())),
+    @given(st.integers(3, 12), st.lists(st.sampled_from(sorted(NAMES)),
                                         min_size=4, max_size=4),
            st.lists(STEPS, max_size=120))
     def test_random_steps_keep_the_invariant(self, budget, policies, steps):

@@ -101,10 +101,6 @@ class TestSimulateJoin:
             accurate = sum(simulate_join(size, 128, 4, accurate_later_rounds=True))
             assert accurate <= fixed
 
-    def test_probe_defaults_to_build_size(self):
-        explicit = simulate_join(512, 128, 20, probe_frames=512)
-        assert explicit == simulate_join(512, 128, 20)
-
 
 class TestFig5Metric:
     def test_memory_utilization_peaks_near_20(self):

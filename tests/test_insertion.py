@@ -9,9 +9,9 @@ from repro.insertion import (
     BestFit,
     FirstFit,
     FirstFitPct,
+    NAMES,
     NextFit,
     RandomPct,
-    default_policies,
     make_policy,
 )
 
@@ -24,7 +24,7 @@ def frames_with_free(*free_bytes):
     return list(free_bytes)
 
 
-ALL_NAMES = sorted(default_policies().keys())
+ALL_NAMES = sorted(NAMES)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -149,7 +149,7 @@ class TestNextFit:
     def test_resumes_from_last_insertion(self):
         pol = NextFit()
         frames = frames_with_free(500, 500, 500)
-        pol.notify_inserted(1, 200, appended=False)
+        pol.notify_inserted(1, 200)
         # smaller record → older frames first: starts at index 1
         idx = pol.find_frame(frames, 100)
         assert idx == 1
@@ -157,27 +157,27 @@ class TestNextFit:
     def test_larger_record_goes_newer(self):
         pol = NextFit()
         frames = frames_with_free(900, 10, 900)
-        pol.notify_inserted(1, 200, appended=False)
+        pol.notify_inserted(1, 200)
         # larger than last (200): search toward newer from index 1
         assert pol.find_frame(frames, 300) == 2
 
     def test_smaller_record_falls_back_to_newer(self):
         pol = NextFit()
         frames = frames_with_free(10, 10, 900)
-        pol.notify_inserted(1, 200, appended=False)
+        pol.notify_inserted(1, 200)
         # smaller: older first (1, 0 fail), then newer (2 fits)
         assert pol.find_frame(frames, 100) == 2
 
     def test_notify_spilled_resets_state(self):
         pol = NextFit()
-        pol.notify_inserted(5, 100, appended=False)
+        pol.notify_inserted(5, 100)
         pol.notify_spilled()
         frames = frames_with_free(500)
         assert pol.find_frame(frames, 100) == 0  # fresh newest-first search
 
     def test_stale_index_is_ignored(self):
         pol = NextFit()
-        pol.notify_inserted(10, 100, appended=False)
+        pol.notify_inserted(10, 100)
         frames = frames_with_free(500, 500)
         assert pol.find_frame(frames, 100) in (0, 1)
 
@@ -210,7 +210,7 @@ class TestRandomPct:
 
 class TestRegistry:
     def test_default_policies_complete(self):
-        assert set(default_policies()) == {
+        assert set(NAMES) == {
             "append(8)", "first-fit", "first-fit(10%)", "best-fit",
             "next-fit", "random(10%)"}
 
@@ -241,10 +241,10 @@ def search_sequence(policy, steps=2000, seed=2022):
         seq.append((idx, policy.frames_searched - before))
         if idx is None:
             free.append(CAP - size)
-            policy.notify_inserted(len(free) - 1, size, appended=True)
+            policy.notify_inserted(len(free) - 1, size)
         else:
             free[idx] -= size
-            policy.notify_inserted(idx, size, appended=False)
+            policy.notify_inserted(idx, size)
     return seq
 
 

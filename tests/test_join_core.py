@@ -12,8 +12,8 @@ import pytest
 
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
-from repro.insertion import default_policies as insertion_policies
-from repro.victim import default_policies as victim_policies
+from repro.insertion import NAMES as INSERTIONS
+from repro.victim import NAMES as VICTIMS
 
 from tests.util import make_records, make_skewed_records, naive_hash_join
 
@@ -37,7 +37,7 @@ def run_and_compare(build, probe, **cfg_kw):
 class TestCorrectnessGrid:
     """Every policy combination must return the exact join result."""
 
-    @pytest.mark.parametrize("victim", sorted(victim_policies().keys()))
+    @pytest.mark.parametrize("victim", sorted(VICTIMS))
     @pytest.mark.parametrize("growth", ["ng-ns", "g-s"])
     @pytest.mark.parametrize("memory", [12, 48])
     def test_policy_grid(self, victim, growth, memory):
@@ -48,7 +48,7 @@ class TestCorrectnessGrid:
         if memory == 12:
             assert stats.partitions_spilled > 0   # spilling actually happened
 
-    @pytest.mark.parametrize("insertion", sorted(insertion_policies().keys()))
+    @pytest.mark.parametrize("insertion", sorted(INSERTIONS))
     @pytest.mark.parametrize("memory", [12, 48, 4096])
     def test_insertion_grid(self, insertion, memory):
         build, probe = small_inputs()

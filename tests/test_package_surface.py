@@ -1,8 +1,11 @@
 """Every ``repro`` module imports on its own, and every name a package
 exports in ``__all__`` resolves — so a deleted function left in an
 ``__init__`` or an import cycle that only bites one import order fails
-here, not in a user's first import."""
+here, not in a user's first import. Also pins what a reader of the
+package surface relies on: the record-level path loads no Spark, and the
+parameter lists of the trimmed public functions."""
 import dataclasses
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -10,6 +13,20 @@ import sys
 
 import repro
 from repro.core.join import HHJConfig
+from repro.core.partitions import robust_num_partitions, shapiro_num_partitions
+from repro.core.sim_partitions import simulate_join
+from repro.core.spark_join import dynamic_hhj_join
+from repro.core.stats import JoinStats
+from repro.experiments.fig9 import fig9, insertion_runs
+from repro.experiments.fig12 import fig12
+from repro.experiments.fig13 import victim_experiment
+from repro.experiments.fig345 import fig3, fig4, fig5, lower_bound_summary
+from repro.experiments.fig1011 import fig10, fig11
+from repro.experiments.runner import show
+from repro.experiments.table1 import table1
+from repro.insertion import InsertionPolicy
+from repro.storage.device import response_time
+from repro.synth_data import wisconsin, wisconsin_record_stream
 
 MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
 
@@ -27,17 +44,36 @@ for name in sys.argv[1:]:
 """
 
 
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(repro.__path__[0])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_walk_finds_every_package():
     assert {"repro.core", "repro.frames", "repro.growth", "repro.insertion",
             "repro.victim", "repro.storage", "repro.experiments"} <= set(MODULES)
 
 
 def test_each_module_imports_alone_and_exports_resolve():
-    src = os.path.dirname(repro.__path__[0])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", CHECK, *MODULES], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _fresh_interpreter(CHECK, *MODULES)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_record_level_path_does_not_load_pyspark():
+    # the experiments and the operator run without Spark; only
+    # ``repro.core.spark_join`` needs it
+    modules = [m for m in MODULES if m.startswith("repro.experiments.")]
+    modules.append("repro.core.join")
+    proc = _fresh_interpreter(
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('pyspark', 'py4j')))",
+        *modules)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_hhj_config_has_exactly_its_nine_knobs():
@@ -45,3 +81,44 @@ def test_hhj_config_has_exactly_its_nine_knobs():
     assert [f.name for f in dataclasses.fields(HHJConfig)] == [
         "memory_frames", "frame_bytes", "num_partitions", "insertion", "victim",
         "growth", "min_partitions", "use_disk_spill", "spill_dir"]
+
+
+#: The parameters of the public functions that carry only what some caller
+#: sets; one added back must be added here, in plain view.
+SIGNATURES = {
+    fig3: ["input_sizes_mb", "partition_counts"],
+    fig4: ["input_sizes_mb", "partition_counts"],
+    fig5: ["input_sizes_mb", "partition_counts"],
+    lower_bound_summary: ["df3"],
+    fig9: ["n", "seed"],
+    insertion_runs: ["build", "probe"],
+    fig10: ["n_bytes_target", "pcts_large", "seed"],
+    fig11: ["n_bytes_target", "pcts_large", "seed"],
+    fig12: ["memory_frames", "ratios", "cache_frames", "seed"],
+    victim_experiment: ["dataset", "pct_large", "skew", "memory_frames", "ratios",
+                        "policies", "seed"],
+    table1: [],
+    show: ["title", "df"],
+    shapiro_num_partitions: ["build_frames", "memory_frames"],
+    robust_num_partitions: ["memory_frames", "build_frames", "lower_bound"],
+    simulate_join: ["build_frames", "memory_frames", "first_round_p",
+                    "accurate_later_rounds"],
+    dynamic_hhj_join: ["build", "probe", "build_key", "probe_key", "cfg",
+                       "num_spark_partitions", "size_column"],
+    JoinStats.record_write: ["self", "n_frames", "payload_bytes", "phase", "pid",
+                             "round_no"],
+    response_time: ["stats", "device", "input_bytes", "use_fs_cache", "cache_frames"],
+    wisconsin_record_stream: ["n", "dataset", "pct_large", "skew", "seed"],
+    wisconsin: ["spark", "n", "dataset", "pct_large", "skew", "seed"],
+    InsertionPolicy.notify_inserted: ["self", "index", "size"],
+}
+
+
+def test_trimmed_functions_keep_their_parameters():
+    def name(fn):
+        return f"{fn.__module__}.{fn.__qualname__}"
+
+    assert {name(fn): list(inspect.signature(fn).parameters) for fn in SIGNATURES} == \
+        {name(fn): params for fn, params in SIGNATURES.items()}
+    assert inspect.signature(JoinStats.record_write).parameters["round_no"].default \
+        is inspect.Parameter.empty

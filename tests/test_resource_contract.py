@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
 from repro.frames.spillfile import SpillFile
-from repro.insertion import default_policies as insertion_policies
-from repro.victim import default_policies as victim_policies
+from repro.insertion import NAMES as INSERTION_NAMES
+from repro.victim import NAMES as VICTIM_NAMES
 
 from tests.util import (
     assert_free_list_invariant,
@@ -133,8 +133,8 @@ class TestRecordSizes:
         assert os.listdir(tmp_path) == []
 
 
-INSERTIONS = sorted(insertion_policies())
-VICTIMS = sorted(victim_policies())
+INSERTIONS = sorted(INSERTION_NAMES)
+VICTIMS = sorted(VICTIM_NAMES)
 
 
 @st.composite

@@ -114,14 +114,14 @@ class TestElevator:
         s = JoinStats(FB)
         for i in range(500):
             s.record_write(1, FB, "build", i % 5, 0)
-        direct = response_time(s, HDD, 0, FB, use_fs_cache=False)
-        cached = response_time(s, HDD, 0, FB, use_fs_cache=True, cache_frames=1024)
+        direct = response_time(s, HDD, 0, use_fs_cache=False)
+        cached = response_time(s, HDD, 0, use_fs_cache=True, cache_frames=1024)
         assert cached < direct / 2
 
     def test_cache_neutral_for_sequential_traces(self):
         s = JoinStats(FB)
         for i in range(5):
             s.record_write(100, 100 * FB, "build", i, 0)
-        direct = response_time(s, HDD, 0, FB, use_fs_cache=False)
-        cached = response_time(s, HDD, 0, FB, use_fs_cache=True, cache_frames=1024)
+        direct = response_time(s, HDD, 0, use_fs_cache=False)
+        cached = response_time(s, HDD, 0, use_fs_cache=True, cache_frames=1024)
         assert cached == pytest.approx(direct, rel=0.15)

@@ -56,12 +56,6 @@ class TestKeys:
         keys = sorted(k for k, _, _ in recs)
         assert keys == list(range(1, 1001))
 
-    def test_non_unique_keys_allowed(self):
-        recs = wisconsin_record_stream(n=1000, dataset="all-small",
-                                       unique_keys=False, seed=3)
-        keys = [k for k, _, _ in recs]
-        assert len(set(keys)) < 1000
-
     def test_determinism(self):
         a = wisconsin_record_stream(n=500, dataset="1-large", pct_large=0.5, seed=9)
         b = wisconsin_record_stream(n=500, dataset="1-large", pct_large=0.5, seed=9)

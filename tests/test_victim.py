@@ -3,7 +3,7 @@ import pytest
 
 from repro.core.stats import JoinStats
 from repro.frames import BufferPool, Partition
-from repro.victim import VictimContext, default_policies, make_policy
+from repro.victim import NAMES, VictimContext, make_policy
 from repro.victim.policies import (
     HalfEmpty,
     LargestSize,
@@ -38,7 +38,7 @@ def ctx(incoming=0, spilled=0, total=8):
                         num_partitions=total)
 
 
-ALL = sorted(default_policies().keys())
+ALL = sorted(NAMES)
 
 EXPECTED_NAMES = {
     "largest-size", "largest-records", "largest-size-self-victim",
@@ -55,8 +55,8 @@ def three_parts():
 
 class TestRegistry:
     def test_thirteen_policies(self):
-        assert set(default_policies()) == EXPECTED_NAMES
-        assert len(default_policies()) == 13
+        assert set(NAMES) == EXPECTED_NAMES
+        assert len(NAMES) == 13
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
