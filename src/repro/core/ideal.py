@@ -11,18 +11,17 @@ memory-resident partition as large as the memory minus the B spill
 output buffers allows (divided by the fudge factor for the hash table
 and fragmentation); everything else spills. Spilled partitions are sized
 by Eq. 2 to fit in the following rounds, so only the first round spills.
+
+Each function takes the fudge factor from its caller: the §7 figures
+pass 1.0 (see :func:`repro.experiments.fig13.victim_experiment`).
 """
 from __future__ import annotations
 
-import math
-
 from .partitions import eq2_disk_partitions
-
-IDEAL_FUDGE = 1.4
 
 
 def ideal_spill_frames(build_frames: float, memory_frames: int,
-                       fudge: float = IDEAL_FUDGE) -> float:
+                       fudge: float) -> float:
     """Minimum build-phase spill (frames) with accurate a-priori sizing."""
     if build_frames * fudge <= memory_frames:
         return 0.0
@@ -34,15 +33,14 @@ def ideal_spill_frames(build_frames: float, memory_frames: int,
 
 
 def ideal_spill_bytes(build_bytes: int, memory_frames: int, frame_bytes: int,
-                      fudge: float = IDEAL_FUDGE) -> float:
+                      fudge: float) -> float:
     """Byte-level convenience wrapper around :func:`ideal_spill_frames`."""
     frames = build_bytes / frame_bytes
     return ideal_spill_frames(frames, memory_frames, fudge) * frame_bytes
 
 
 def spill_ratio(measured_spill_bytes: int, build_bytes: int,
-                memory_frames: int, frame_bytes: int,
-                fudge: float = IDEAL_FUDGE) -> float:
+                memory_frames: int, frame_bytes: int, fudge: float) -> float:
     """§7.1 metric: measured build-phase spill over the ideal spill.
 
     When the ideal is zero (everything fits) the ratio is defined as 1.0

@@ -18,6 +18,11 @@ operator's input buffer, like AsterixDB's input frame) and routes each
 batch with one ``split_partition`` call; insertion, spilling and probing
 stay record at a time, in input order.
 
+The rounds run from an explicit stack, depth first (§2.3 recursion on
+each spilled partition pair), and every round hands out one lazy pair
+iterator per probe batch; ``run`` and ``run_collect`` drain those, so a
+pair passes through no chain of recursive generators.
+
 Input records are ``(key, size_bytes, payload)`` triples. ``_admit``
 turns each into the operator's one record tuple, ``(size, key,
 payload)``, which frames, spill files, replays, the hash table and the
@@ -29,15 +34,17 @@ the storage model replays into device times.
 """
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..frames.partition import Partition, SpillFiles
 from ..frames.pool import BufferPool
-from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record
+from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record, SpillFile
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy
@@ -87,13 +94,33 @@ def _blocks(records: Iterable[Record], block_bytes: int) -> Iterator[List[Record
         yield block
 
 
+class _NaN(float):
+    """NaN as a join key: a float that pickles as a reference to
+    :data:`NAN`, so a record replayed from a disk spill file still holds
+    that one object."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "NAN"
+
+
+#: The one object every NaN key becomes. NaN equals nothing, but a dict
+#: lookup tries identity first, so this object matches itself: NaN keys
+#: join each other, as NaN = NaN does in Spark SQL joins.
+NAN = _NaN("nan")
+
+
 def _canonical(key: Any) -> Any:
     """``key`` as the plain Python value it equals: a numpy scalar's
-    ``item()``, and an integral float as an int."""
+    ``item()``, an integral float as an int, and any NaN as :data:`NAN`."""
     if hasattr(key, "item"):
         key = key.item()
-    if isinstance(key, float) and key.is_integer():
-        key = int(key)
+    if isinstance(key, float):
+        if key.is_integer():
+            key = int(key)
+        elif key != key:
+            key = NAN
     return key
 
 
@@ -125,6 +152,19 @@ class HHJConfig:
             )
 
 
+class _ChildRound(NamedTuple):
+    """A round waiting on the stack: the parent's spill files it replays
+    (its build side first, after any §8.2 role reversal) and closes when
+    it ends, and the sizes its kernel is chosen by."""
+
+    build: SpillFile
+    probe: SpillFile
+    level: int
+    build_frames: int
+    parent_build_frames: int
+    swapped: bool
+
+
 class DynamicHybridHashJoin:
     """One (multi-round) Dynamic HHJ execution with its statistics."""
 
@@ -139,7 +179,10 @@ class DynamicHybridHashJoin:
         """The spill files of one side of one round, made per partition."""
         cfg, stats = self.cfg, self.stats
         if cfg.use_disk_spill:
-            return lambda pid: DiskSpillFile(stats, phase, pid, level, dir=cfg.spill_dir)
+            # one temp file for the side, opened by its first spill file
+            shared: List[Any] = []
+            return lambda pid: DiskSpillFile(stats, phase, pid, level, shared,
+                                             dir=cfg.spill_dir)
         return lambda pid: MemorySpillFile(stats, phase, pid, level)
 
     def _new_partitions(self, p: int, pool: BufferPool,
@@ -172,15 +215,19 @@ class DynamicHybridHashJoin:
     # -- public API ------------------------------------------------------
     def run(self, build: Iterable[InputRecord],
             probe: Iterable[InputRecord]) -> Iterator[Pair]:
-        """Execute the join lazily: an iterator of (build_payload,
-        probe_payload) pairs."""
-        return self._round(self._admit(build), self._admit(probe), level=0,
-                           build_frames=None, parent_build_frames=None,
-                           swapped=False)
+        """Execute the join lazily: a generator of (build_payload,
+        probe_payload) pairs; ``close()`` it to stop early."""
+        with closing(self._pair_batches(build, probe)) as batches:
+            for pairs in batches:
+                yield from pairs
 
     def run_collect(self, build: Iterable[InputRecord],
                     probe: Iterable[InputRecord]) -> List[Pair]:
-        return list(self.run(build, probe))
+        out: List[Pair] = []
+        with closing(self._pair_batches(build, probe)) as batches:
+            for pairs in batches:
+                out.extend(pairs)
+        return out
 
     def build_only(self, build: Iterable[InputRecord]) -> List[Partition]:
         """Run just the round-0 build phase (victim/growth experiments).
@@ -247,25 +294,58 @@ class DynamicHybridHashJoin:
             self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
         return partitions, pool, max(1, -(-build_bytes // cfg.frame_bytes))
 
+    def _pair_batches(self, build: Iterable[InputRecord],
+                      probe: Iterable[InputRecord]) -> Iterator[Iterator[Pair]]:
+        """Every round of the join, from an explicit stack of pending
+        rounds: each round hands out one lazy pair iterator per probe
+        batch.
+
+        A hashing round pushes the child rounds of its spilled pairs in
+        reverse, so they run depth first, in partition order. A child
+        closes the parent's spill files it replays when it ends; on an
+        early close or an exception, the ``finally`` closes the files of
+        the rounds still on the stack.
+        """
+        stack: List[_ChildRound] = []
+        try:
+            yield from self._round(self._admit(build), self._admit(probe), 0,
+                                   None, None, False, stack)
+            while stack:
+                child = stack.pop()
+                try:
+                    yield from self._round(child.build.replay(), child.probe.replay(),
+                                           child.level, child.build_frames,
+                                           child.parent_build_frames, child.swapped,
+                                           stack)
+                finally:
+                    child.build.close()
+                    child.probe.close()
+        finally:
+            for child in stack:
+                child.build.close()
+                child.probe.close()
+
     def _round(self, build: Iterator[Record], probe: Iterator[Record],
                level: int, build_frames: Optional[int],
-               parent_build_frames: Optional[int], swapped: bool) -> Iterator[Pair]:
-        cfg = self.cfg
-        if level > MAX_LEVELS:
-            yield from self._bnlj(build, probe, swapped)
-            return
-
+               parent_build_frames: Optional[int], swapped: bool,
+               stack: List[_ChildRound]) -> Iterator[Iterator[Pair]]:
+        """The join kernel one round takes, by its level and build size."""
         # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
-        if level > 0 and build_frames >= (1.0 - BAILOUT_SHRINK) * parent_build_frames:
-            yield from self._bnlj(build, probe, swapped)
-            return
-
+        if level > MAX_LEVELS or (
+                level > 0 and build_frames >= (1.0 - BAILOUT_SHRINK) * parent_build_frames):
+            return self._bnlj(build, probe, swapped)
         # §8.3 in-memory shortcut: known-small build skips partitioning.
-        if level > 0 and build_frames * TABLE1_FUDGE <= cfg.memory_frames:
-            yield from self._in_memory_join(build, probe, swapped)
-            return
+        if level > 0 and build_frames * TABLE1_FUDGE <= self.cfg.memory_frames:
+            return self._in_memory_join(build, probe, swapped)
+        return self._hash_round(build, probe, level, build_frames, swapped, stack)
 
-        stats = self.stats
+    def _hash_round(self, build: Iterator[Record], probe: Iterator[Record],
+                    level: int, build_frames: Optional[int], swapped: bool,
+                    stack: List[_ChildRound]) -> Iterator[Iterator[Pair]]:
+        """One hashing round: build, probe a batch at a time, then push
+        the child round of each spilled pair that has records on both
+        sides; it takes over the pair's two spill files."""
+        cfg, stats = self.cfg, self.stats
         stats.rounds += 1
         partitions, pool, this_build_frames = self._build(build, level, build_frames)
         p = len(partitions)
@@ -297,35 +377,30 @@ class DynamicHybridHashJoin:
                         pp.append_buffered(rec)
                     else:
                         to_probe.append(rec)
-                stats.hash_probes += yield from self._probe_table(table, to_probe, swapped)
+                stats.hash_probes += len(to_probe)
+                yield self._probe_table(table, to_probe, swapped)
             for pp in probe_parts.values():
                 pp.write_out(keep_buffer=False)
+            self._collect_search_stats(partitions)
 
-            del table
-            for q in resident:
-                q.close()
-
-            # ---------------- recursion on spilled pairs ----------------
-            for q in spilled:
+            # ---------------- child rounds of the spilled pairs ----------------
+            for q in reversed(spilled):
                 pp = probe_parts[q.pid]
                 bfile, pfile = q.spill_file, pp.spill_file
                 b_frames = bfile.frames_written if bfile else 0
                 p_frames = pfile.frames_written if pfile else 0
-                if b_frames and p_frames:
-                    child_build = bfile.replay()
-                    child_probe = pfile.replay()
-                    child_bf, child_swapped = b_frames, swapped
-                    # §8.2 role reversal: the smaller side builds.
-                    if p_frames < b_frames:
-                        child_build, child_probe = child_probe, child_build
-                        child_bf, child_swapped = p_frames, not swapped
-                        stats.role_reversals += 1
-                    yield from self._round(child_build, child_probe, level + 1,
-                                           child_bf, this_build_frames, child_swapped)
-                q.close()
-                pp.close()
-
-            self._collect_search_stats(partitions)
+                if not (b_frames and p_frames):
+                    continue
+                # §8.2 role reversal: the smaller side builds.
+                if p_frames < b_frames:
+                    stats.role_reversals += 1
+                    child = _ChildRound(pfile, bfile, level + 1, p_frames,
+                                        this_build_frames, not swapped)
+                else:
+                    child = _ChildRound(bfile, pfile, level + 1, b_frames,
+                                        this_build_frames, swapped)
+                stack.append(child)
+                q.spill_file = pp.spill_file = None
         finally:
             # every exit path, early generator close and exceptions included
             for q in [*partitions, *probe_parts.values()]:
@@ -399,39 +474,41 @@ class DynamicHybridHashJoin:
         return table
 
     @staticmethod
-    def _probe_table(table: Dict[Any, List[Any]], probe: Iterable[Record],
-                     swapped: bool) -> Generator[Pair, None, int]:
-        """Join ``probe`` against ``table``, the pairs oriented for
-        ``swapped``; returns the probe records seen. Every probe of the
+    def _probe_table(table: Dict[Any, List[Any]], probe: List[Record],
+                     swapped: bool) -> Iterator[Pair]:
+        """The pairs of ``probe`` joined against ``table``, oriented for
+        ``swapped``, made lazily as they are taken. Every probe of the
         operator goes through here."""
-        n = 0
-        for _size, key, payload in probe:
-            n += 1
-            for bpayload in table.get(key, ()):
-                yield (bpayload, payload) if not swapped else (payload, bpayload)
-        return n
+        get = table.get
+        if swapped:
+            return ((payload, b) for _size, key, payload in probe for b in get(key, ()))
+        return ((b, payload) for _size, key, payload in probe for b in get(key, ()))
 
     # -- fallback operators ----------------------------------------------
     def _in_memory_join(self, build: Iterator[Record], probe: Iterator[Record],
-                        swapped: bool) -> Iterator[Pair]:
+                        swapped: bool) -> Iterator[Iterator[Pair]]:
         """§8.3: skip partitioning, hash the whole build input directly
         (it is known to fit the memory budget)."""
-        self.stats.in_memory_rounds += 1
+        stats = self.stats
+        stats.in_memory_rounds += 1
         records = list(build)
-        self.stats.records_processed += len(records)
-        n = yield from self._probe_table(self._hash_table(records), probe, swapped)
-        self.stats.records_processed += n
-        self.stats.hash_probes += n
+        stats.records_processed += len(records)
+        table = self._hash_table(records)
+        for batch in _batches(probe):
+            stats.records_processed += len(batch)
+            stats.hash_probes += len(batch)
+            yield self._probe_table(table, batch, swapped)
 
     def _bnlj(self, build: Iterator[Record], probe: Iterator[Record],
-              swapped: bool) -> Iterator[Pair]:
+              swapped: bool) -> Iterator[Iterator[Pair]]:
         """§8.1 bail-out: block-nested-loop equijoin.
 
         Loads the build side block-by-block (a block = the memory budget
         minus an input and an output frame) and scans the probe side once
-        per block. Key equality is evaluated with an in-block index —
-        same output as a tuple-at-a-time NLJ for an equijoin, without the
-        quadratic constant.
+        per block, ``BATCH_RECORDS`` probe records at a time. Key equality
+        is evaluated with an in-block index — same output as a
+        tuple-at-a-time NLJ for an equijoin, without the quadratic
+        constant.
         """
         self.stats.bnlj_rounds += 1
         cfg = self.cfg
@@ -439,6 +516,8 @@ class DynamicHybridHashJoin:
         probe_cache: List[Record] = list(probe)
         for block in _blocks(build, block_bytes):
             self.stats.records_processed += len(block)
-            self.stats.comparisons += yield from self._probe_table(
-                self._hash_table(block), probe_cache, swapped)
-
+            self.stats.comparisons += len(probe_cache)
+            table = self._hash_table(block)
+            for start in range(0, len(probe_cache), BATCH_RECORDS):
+                yield self._probe_table(table, probe_cache[start:start + BATCH_RECORDS],
+                                        swapped)

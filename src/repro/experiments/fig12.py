@@ -18,7 +18,6 @@ from typing import Sequence
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
-from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..storage.device import HDD, response_time
 from ..storage.elevator import elevator_coalesce
 from ..synth_data import wisconsin_record_stream
@@ -36,7 +35,7 @@ def fig12(memory_frames: int = 128,
     avg = avg_record_bytes("all-small", 0.0)
     rows = []
     for ratio in ratios:
-        n = records_for_ratio(ratio, memory_frames, DEFAULT_FRAME_BYTES, avg)
+        n = records_for_ratio(ratio, memory_frames, avg)
         build = wisconsin_record_stream(n=n, dataset="all-small", seed=seed)
         probe = wisconsin_record_stream(n=n, dataset="all-small", seed=seed + 1)
         input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)

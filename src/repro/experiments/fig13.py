@@ -36,7 +36,7 @@ def victim_experiment(dataset: str, pct_large: float, skew: bool,
     avg = avg_record_bytes(dataset, pct_large)
     rows = []
     for ratio in ratios:
-        n = records_for_ratio(ratio, memory_frames, DEFAULT_FRAME_BYTES, avg)
+        n = records_for_ratio(ratio, memory_frames, avg)
         build = wisconsin_record_stream(n=n, dataset=dataset,
                                         pct_large=pct_large, skew=skew,
                                         seed=seed)

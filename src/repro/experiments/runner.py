@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..synth_data import WISCONSIN_SIZES
 
 
@@ -20,10 +21,11 @@ def show(title: str, df: pd.DataFrame) -> None:
         print(df.to_string(index=False))
 
 
-def records_for_ratio(ratio: float, memory_frames: int, frame_bytes: int,
+def records_for_ratio(ratio: float, memory_frames: int,
                       avg_record_bytes: float) -> int:
-    """How many records make the build input ``ratio`` × the memory size."""
-    target_bytes = ratio * memory_frames * frame_bytes
+    """How many records make the build input ``ratio`` × the memory size
+    (``memory_frames`` frames of ``DEFAULT_FRAME_BYTES``)."""
+    target_bytes = ratio * memory_frames * DEFAULT_FRAME_BYTES
     return max(1, int(round(target_bytes / avg_record_bytes)))
 
 

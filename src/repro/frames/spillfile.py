@@ -5,9 +5,12 @@ Two implementations behind one interface:
 * :class:`MemorySpillFile` keeps spilled records in Python lists — used by
   the driver-side experiment harnesses where only the *write trace*
   matters and re-reading must be fast.
-* :class:`DiskSpillFile` pickles frame batches to a real temporary file —
+* :class:`DiskSpillFile` pickles each frame to a real temporary file —
   used by the Spark-executor operator so a partition pair larger than the
-  configured budget does not balloon executor memory.
+  configured budget does not balloon executor memory. The partitions of
+  one side of one round share one OS temp file: each
+  :class:`DiskSpillFile` is the logical run file of its partition, the
+  extents of its frames in that temp file.
 
 Both count frames and bytes written, and both record their I/O in the
 operator's :class:`~repro.core.stats.JoinStats` through the two methods
@@ -23,7 +26,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from typing import TYPE_CHECKING, Any, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
@@ -95,36 +98,70 @@ class MemorySpillFile(SpillFile):
         self._records = []
 
 
+class _TempFile:
+    """One OS temp file that several :class:`DiskSpillFile` append their
+    frames to; closed and unlinked when the last of them closes."""
+
+    def __init__(self, dir: Optional[str]) -> None:
+        self.fd, self.path = tempfile.mkstemp(prefix="repro-spill-", dir=dir)
+        #: the offset the next frame is written at
+        self.end = 0
+        self.users = 0
+
+    def release(self) -> None:
+        self.users -= 1
+        if self.users == 0:
+            try:
+                os.close(self.fd)
+            finally:
+                try:
+                    os.unlink(self.path)
+                except OSError:
+                    pass
+
+
 class DiskSpillFile(SpillFile):
-    """Real temp-file spill target (pickle per frame batch)."""
+    """A partition's run file on disk: one pickle per frame, in a temp
+    file it may share.
+
+    ``shared`` is the slot through which the files of one factory share
+    their temp file: the first file opens it, and a file made after every
+    earlier one has closed opens a fresh one. Each file keeps the
+    ``(offset, length)`` of its own frames, writes them at the shared end
+    and replays only them.
+    """
 
     def __init__(self, stats: "JoinStats", phase: "Phase", pid: int, round_no: int,
-                 dir: str | None = None) -> None:
+                 shared: Optional[List[_TempFile]] = None,
+                 dir: Optional[str] = None) -> None:
         super().__init__(stats, phase, pid, round_no)
-        fd, self.path = tempfile.mkstemp(prefix="repro-spill-", dir=dir)
-        self._f = os.fdopen(fd, "w+b")
+        if shared is None:
+            shared = []
+        if not shared or shared[0].users == 0:
+            shared[:] = [_TempFile(dir)]
+        self._tmp: Optional[_TempFile] = shared[0]
+        self._tmp.users += 1
+        self.path = self._tmp.path
+        #: ``(offset, length)`` of each frame written, in write order
+        self._extents: List[Tuple[int, int]] = []
 
     def write_frame(self, records: Sequence[Record]) -> None:
-        pickle.dump(list(records), self._f, protocol=pickle.HIGHEST_PROTOCOL)
+        data = pickle.dumps(list(records), protocol=pickle.HIGHEST_PROTOCOL)
+        tmp = self._tmp
+        if os.pwrite(tmp.fd, data, tmp.end) != len(data):
+            raise OSError(f"short write to spill file {tmp.path}")
+        self._extents.append((tmp.end, len(data)))
+        tmp.end += len(data)
         self.frames_written += 1
         self.bytes_written += sum(r[0] for r in records)
 
     def read_all(self) -> Iterator[Record]:
-        self._f.flush()
-        self._f.seek(0)
-        while True:
-            try:
-                batch = pickle.load(self._f)
-            except EOFError:
-                break
-            yield from batch
-        self._f.seek(0, os.SEEK_END)
+        fd = self._tmp.fd
+        for offset, length in self._extents:
+            yield from pickle.loads(os.pread(fd, length, offset))
 
     def close(self) -> None:
-        try:
-            self._f.close()
-        finally:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+        if self._tmp is not None:
+            tmp, self._tmp = self._tmp, None
+            self._extents = []
+            tmp.release()

@@ -199,7 +199,7 @@ _CONSTRUCTORS = {
 NAMES = tuple(_CONSTRUCTORS)
 
 
-def make_policy(name: str, seed: int = 0) -> InsertionPolicy:
+def make_policy(name: str, seed: int) -> InsertionPolicy:
     """Construct one policy from its canonical name (fresh stats);
     ``seed`` seeds a random search."""
     if name not in _CONSTRUCTORS:

@@ -20,8 +20,7 @@ from typing import Iterable, List
 from ..core.stats import WriteOp
 
 
-def elevator_coalesce(trace: Iterable[WriteOp],
-                      cache_frames: int = 1024) -> List[WriteOp]:
+def elevator_coalesce(trace: Iterable[WriteOp], cache_frames: int) -> List[WriteOp]:
     """Rewrite a trace as the disk would see it behind an elevator cache."""
     if cache_frames < 1:
         raise ValueError("cache_frames must be >= 1")

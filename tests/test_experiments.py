@@ -269,8 +269,9 @@ class TestVictimVariableSizes:
 
 class TestRunnerHelpers:
     def test_records_for_ratio(self):
-        n = records_for_ratio(2.0, 100, 1000, 500)
-        assert n == 400
+        # 2 × 100 frames of 32 KiB, in records of 500 B
+        n = records_for_ratio(2.0, 100, 500)
+        assert n == round(2.0 * 100 * 32 * 1024 / 500) == 13107
 
     @pytest.mark.parametrize("dataset,pct,expect", [
         ("all-small", 0.0, 1100.0),

@@ -210,6 +210,33 @@ class TestSpillFiles:
         sf.close()
         assert not os.path.exists(path)
 
+    def test_disk_files_of_one_factory_share_one_temp_file(self, tmp_path):
+        stats, shared = JoinStats(), []
+        a, b = (DiskSpillFile(stats, "build", pid, 1, shared, dir=str(tmp_path))
+                for pid in (0, 1))
+        assert a.path == b.path
+        assert os.listdir(tmp_path) == [os.path.basename(a.path)]
+        a.write_frame([(100, "a", 0)])
+        b.write_frame([(200, "b", 0), (300, "b", 1)])
+        a.write_frame([(400, "a", 1), (500, "a", 2)])
+        b.write_frame([(600, "b", 2)])
+        assert list(a.read_all()) == [(100, "a", 0), (400, "a", 1), (500, "a", 2)]
+        assert list(b.read_all()) == [(200, "b", 0), (300, "b", 1), (600, "b", 2)]
+        assert (a.frames_written, a.bytes_written) == (2, 1000)
+        assert (b.frames_written, b.bytes_written) == (2, 1100)
+        a.close()
+        assert os.path.exists(b.path)          # b still uses it
+        assert list(b.read_all()) == [(200, "b", 0), (300, "b", 1), (600, "b", 2)]
+        b.close()
+        assert os.listdir(tmp_path) == []
+        # a file made after the last one closed opens a fresh temp file
+        c = DiskSpillFile(stats, "build", 2, 1, shared, dir=str(tmp_path))
+        c.write_frame([(700, "c", 0)])
+        assert list(c.read_all()) == [(700, "c", 0)]
+        assert os.listdir(tmp_path) == [os.path.basename(c.path)]
+        c.close()
+        assert os.listdir(tmp_path) == []
+
     def test_empty_file_reads_nothing(self):
         for factory in (MemorySpillFile, DiskSpillFile):
             sf = new_file(factory)

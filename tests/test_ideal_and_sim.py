@@ -19,7 +19,7 @@ class TestIdealSpill:
         assert ideal_spill_frames(92, 128, fudge=1.4) > 0.0
 
     def test_monotone_in_build_size(self):
-        vals = [ideal_spill_frames(r, 128) for r in range(100, 2000, 50)]
+        vals = [ideal_spill_frames(r, 128, fudge=1.4) for r in range(100, 2000, 50)]
         assert vals == sorted(vals)
 
     def test_large_build_spills_most(self):
@@ -28,14 +28,14 @@ class TestIdealSpill:
 
     def test_bytes_wrapper_scales(self):
         fb = 32 * 1024
-        assert ideal_spill_bytes(256 * fb, 128, fb) == \
-            ideal_spill_frames(256, 128) * fb
+        assert ideal_spill_bytes(256 * fb, 128, fb, fudge=1.4) == \
+            ideal_spill_frames(256, 128, fudge=1.4) * fb
 
     def test_ratio_no_spill_everywhere(self):
-        assert spill_ratio(0, 100, 128, 1024) == 1.0
+        assert spill_ratio(0, 100, 128, 1024, fudge=1.4) == 1.0
 
     def test_ratio_overspill_when_ideal_zero(self):
-        assert spill_ratio(10 * 1024, 100, 128, 1024) > 1.0
+        assert spill_ratio(10 * 1024, 100, 128, 1024, fudge=1.4) > 1.0
 
     def test_ratio_normal_case(self):
         fb = 1024

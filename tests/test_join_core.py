@@ -176,6 +176,29 @@ class TestEdgeCases:
         assert {p: type(k) for p, k in stored.items()} == {
             "a": int, "b": int, "c": int, "d": float, "e": str, "f": bool}
 
+    def test_nan_keys_match_each_other(self):
+        # NaN = NaN in Spark SQL joins; each NaN here is its own object
+        import numpy as np
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=8, frame_bytes=FRAME,
+                                             num_partitions=4, min_partitions=4))
+        assert op.run_collect([(float("nan"), 10, "b")], [(float("nan"), 10, "p")]) == [
+            ("b", "p")]
+        build = [(float("nan"), 10, "b1"), (np.float64("nan"), 10, "b2"), (1.5, 10, "x")]
+        probe = [(np.float64("nan"), 10, "p1"), (float("inf"), 10, "y")]
+        assert sorted(DynamicHybridHashJoin(HHJConfig(
+            memory_frames=8, frame_bytes=FRAME, num_partitions=4,
+            min_partitions=4)).run_collect(build, probe)) == [("b1", "p1"), ("b2", "p1")]
+
+    def test_nan_keys_match_after_a_disk_spill(self, tmp_path):
+        # records replayed from a disk spill file keep the one NaN key
+        # through every later round, the §8.1 bail-out included
+        build = [(float("nan") if i % 3 == 0 else i, 200, f"b{i}") for i in range(600)]
+        probe = [(float("nan") if i % 5 == 0 else i, 200, f"p{i}") for i in range(300)]
+        stats = run_and_compare(build, probe, memory_frames=8, num_partitions=4,
+                                use_disk_spill=True, spill_dir=str(tmp_path))
+        assert stats.partitions_spilled > 0 and stats.bnlj_rounds > 0
+        assert os.listdir(tmp_path) == []
+
     def test_string_keys(self):
         build = [(f"k{i % 20}", 150, f"b{i}") for i in range(100)]
         probe = [(f"k{i % 25}", 150, f"p{i}") for i in range(100)]
@@ -369,6 +392,44 @@ class TestPinnedCounters:
             comparisons=0, in_memory_rounds=68, bnlj_rounds=0, frames_reloaded=70,
             partitions_spilled=127,
             trace_sha256="5c15b3dd7f61a125216e572a66d6849a25622c8056cdff8b9fdcba7d5afa8113")
+
+
+class TestPinnedOutputOrder:
+    """The ordered output of the three :class:`TestPinnedCounters` runs,
+    pinned by a digest. With the write-label digest there, it pins the
+    depth-first order of the rounds: a round's own pairs, then each
+    spilled pair's child rounds, in partition order."""
+
+    @staticmethod
+    def digest(build, probe, **cfg_kw):
+        cfg_kw.setdefault("frame_bytes", FRAME)
+        cfg_kw.setdefault("min_partitions", 4)
+        pairs = DynamicHybridHashJoin(HHJConfig(**cfg_kw)).run_collect(build, probe)
+        assert sorted(pairs) == sorted(naive_hash_join(build, probe))
+        return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+    def test_in_memory_run_order(self):
+        build = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=21, tag="b")
+        probe = make_records(10_000, key_range=20_000, lo=100, hi=300, seed=22, tag="p")
+        assert self.digest(build, probe, memory_frames=4096, num_partitions=20) == (
+            "1774081cd76c63b7d57208e00ce758b3711208002ae3c4acfe02458bc6e3565c")
+
+    def test_disk_spilling_run_with_recursion_order(self, tmp_path):
+        build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")
+        probe = make_records(12_000, key_range=12_000, lo=100, hi=300, seed=24, tag="p")
+        assert self.digest(build, probe, memory_frames=12, num_partitions=8,
+                           use_disk_spill=True, spill_dir=str(tmp_path)) == (
+            "186a7ce383eeed9bb159207301c6907ce0fe06824214e00f684da23066d6de16")
+        assert os.listdir(tmp_path) == []
+
+    def test_grow_steal_run_with_reload_order(self, tmp_path):
+        build = make_skewed_records(6000, hot_keys=400, lo=100, hi=300, seed=31, tag="b")
+        probe = make_records(6000, key_range=6000, lo=100, hi=300, seed=32, tag="p")
+        assert self.digest(build, probe, memory_frames=16, num_partitions=6,
+                           insertion="next-fit", victim="low-high", growth="g-s",
+                           use_disk_spill=True, spill_dir=str(tmp_path)) == (
+            "3edc79f6b77b63ef088a320fbf8d68660e93153a9e6872f4732c624429b8c6ab")
+        assert os.listdir(tmp_path) == []
 
 
 class TestSplitCalls:

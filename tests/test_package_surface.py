@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import repro
+from repro.core.ideal import ideal_spill_bytes, ideal_spill_frames, spill_ratio
 from repro.core.join import HHJConfig
 from repro.core.partitions import robust_num_partitions, shapiro_num_partitions
 from repro.core.sim_partitions import simulate_join
@@ -22,10 +23,12 @@ from repro.experiments.fig12 import fig12
 from repro.experiments.fig13 import victim_experiment
 from repro.experiments.fig345 import fig3, fig4, fig5, lower_bound_summary
 from repro.experiments.fig1011 import fig10, fig11
-from repro.experiments.runner import show
+from repro.experiments.runner import records_for_ratio, show
 from repro.experiments.table1 import table1
 from repro.insertion import InsertionPolicy
+from repro.insertion import make_policy as make_insertion
 from repro.storage.device import response_time
+from repro.storage.elevator import elevator_coalesce
 from repro.synth_data import wisconsin, wisconsin_record_stream
 
 MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
@@ -111,7 +114,19 @@ SIGNATURES = {
     wisconsin_record_stream: ["n", "dataset", "pct_large", "skew", "seed"],
     wisconsin: ["spark", "n", "dataset", "pct_large", "skew", "seed"],
     InsertionPolicy.notify_inserted: ["self", "index", "size"],
+    ideal_spill_frames: ["build_frames", "memory_frames", "fudge"],
+    ideal_spill_bytes: ["build_bytes", "memory_frames", "frame_bytes", "fudge"],
+    spill_ratio: ["measured_spill_bytes", "build_bytes", "memory_frames", "frame_bytes",
+                  "fudge"],
+    records_for_ratio: ["ratio", "memory_frames", "avg_record_bytes"],
+    elevator_coalesce: ["trace", "cache_frames"],
+    make_insertion: ["name", "seed"],
 }
+
+#: Functions whose every caller passes every argument: a default added back
+#: must be added here, in plain view.
+NO_DEFAULTS = (ideal_spill_frames, ideal_spill_bytes, spill_ratio, records_for_ratio,
+               elevator_coalesce, make_insertion)
 
 
 def test_trimmed_functions_keep_their_parameters():
@@ -122,3 +137,6 @@ def test_trimmed_functions_keep_their_parameters():
         {name(fn): params for fn, params in SIGNATURES.items()}
     assert inspect.signature(JoinStats.record_write).parameters["round_no"].default \
         is inspect.Parameter.empty
+    assert {name(fn): [p for p, v in inspect.signature(fn).parameters.items()
+                       if v.default is not inspect.Parameter.empty]
+            for fn in NO_DEFAULTS} == {name(fn): [] for fn in NO_DEFAULTS}

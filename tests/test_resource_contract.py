@@ -4,6 +4,7 @@ runs over every policy combination equal the naive join with I/O
 accounting that matches what the spill files wrote."""
 import os
 import random
+import sys
 import tempfile
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
-from repro.frames.spillfile import SpillFile
+from repro.frames.spillfile import DiskSpillFile, SpillFile
 from repro.insertion import NAMES as INSERTION_NAMES
 from repro.victim import NAMES as VICTIM_NAMES
 
@@ -48,6 +49,19 @@ def skewed_inputs():
     build = make_skewed_records(20_000, hot_keys=50, seed=11, tag="b")
     probe = make_records(20_000, key_range=20_000, seed=12, tag="p")
     return build, probe
+
+
+@pytest.fixture(scope="module")
+def deep_inputs():
+    """Inputs whose join in :func:`deep_cfg` recurses to level 3."""
+    build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")
+    probe = make_records(12_000, key_range=12_000, lo=100, hi=300, seed=24, tag="p")
+    return build, probe
+
+
+def deep_cfg(spill_dir):
+    return disk_cfg(spill_dir, memory_frames=12, frame_bytes=FRAME, num_partitions=8,
+                    min_partitions=4)
 
 
 class TestSpillCleanup:
@@ -90,6 +104,78 @@ class TestSpillCleanup:
         assert taken < read - BATCH_RECORDS  # ... and is only partly joined
         assert os.listdir(tmp_path)
         gen.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_early_close_with_level_two_rounds_pending(self, tmp_path, deep_inputs,
+                                                       monkeypatch):
+        levels = []
+        split = repro.core.join.split_partition
+
+        def recorder(keys, num_partitions, level):
+            levels.append(level)
+            return split(keys, num_partitions, level)
+
+        monkeypatch.setattr(repro.core.join, "split_partition", recorder)
+        made, closed = [], set()
+        init, close = DiskSpillFile.__init__, DiskSpillFile.close
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        def tracking_close(self):
+            closed.add(id(self))
+            close(self)
+
+        monkeypatch.setattr(DiskSpillFile, "__init__", tracking_init)
+        monkeypatch.setattr(DiskSpillFile, "close", tracking_close)
+        gen = DynamicHybridHashJoin(deep_cfg(tmp_path)).run(*deep_inputs)
+        while 2 not in levels:
+            next(gen)
+        # inside a level-2 round, the open files of level 1 are the two it
+        # replays and those of the level-2 rounds still on the stack
+        open_level_1 = [f for f in made if f.label[2] == 1 and id(f) not in closed]
+        assert len(open_level_1) > 2
+        assert os.listdir(tmp_path)
+        gen.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_exception_in_a_level_two_round_removes_spill_files(self, tmp_path,
+                                                                deep_inputs,
+                                                                monkeypatch):
+        split = repro.core.join.split_partition
+
+        def failing(keys, num_partitions, level):
+            if level == 2:
+                raise RuntimeError("split failed at level 2")
+            return split(keys, num_partitions, level)
+
+        monkeypatch.setattr(repro.core.join, "split_partition", failing)
+        with pytest.raises(RuntimeError, match="level 2"):
+            DynamicHybridHashJoin(deep_cfg(tmp_path)).run_collect(*deep_inputs)
+        assert os.listdir(tmp_path) == []
+
+    def test_disk_join_that_spills_nothing_runs_no_spill_file_code(self, tmp_path):
+        # A Spark executor's join (disk spill on) that fits its budget must
+        # run no code of frames/spillfile.py: the benchmark's traced
+        # spark-tpch run charges every function of that module.
+        build = make_records(2000, key_range=500, lo=100, hi=300, seed=5, tag="b")
+        probe = make_records(2000, key_range=500, lo=100, hi=300, seed=6, tag="p")
+        files = set()
+
+        def profile(frame, event, arg):
+            files.add(frame.f_code.co_filename)
+
+        op = DynamicHybridHashJoin(disk_cfg(tmp_path))
+        sys.setprofile(profile)
+        try:
+            pairs = op.run_collect(build, probe)
+        finally:
+            sys.setprofile(None)
+        assert sorted(pairs) == sorted(naive_hash_join(build, probe))
+        assert op.stats.partitions_spilled == 0
+        assert any(f.endswith(os.path.join("core", "join.py")) for f in files)
+        assert not [f for f in files if f.endswith(os.path.join("frames", "spillfile.py"))]
         assert os.listdir(tmp_path) == []
 
     def test_build_only_exception_removes_spill_files(self, tmp_path, skewed_inputs):
@@ -159,6 +245,9 @@ def join_cases(draw):
         for i in range(n):
             k = 0 if rng.random() < hot_share else rng.randrange(key_range)
             key = rng.choice([k, float(k), np.int64(k), str(k)])
+            if rng.random() < 0.1:
+                # NaN joins NaN and -0.0 joins 0, as in Spark SQL joins
+                key = rng.choice([float("nan"), np.float64("nan"), 0.0, -0.0])
             size = FRAME if rng.random() < full_frame_share else rng.randint(1, FRAME)
             records.append((key, size, (tag, i)))
         return records

@@ -156,6 +156,20 @@ class TestSchemaHandling:
         assert len(rows) == 1
         assert rows[0]["v"] == "a" and rows[0]["v_r"] == "x"
 
+    def test_double_keys_join_as_in_spark(self, spark):
+        # Spark SQL joins NaN = NaN and -0.0 = 0.0; compare with its own join
+        rows = [(float("nan"), "nan"), (0.0, "zero"), (-0.0, "minus-zero"), (1.5, "x")]
+        a = spark.createDataFrame(rows, "k double, v string")
+        b = spark.createDataFrame(rows, "k double, w string")
+        out = dynamic_hhj_join(a, b, "k", "k",
+                               HHJConfig(memory_frames=8, frame_bytes=4096,
+                                         num_partitions=4, min_partitions=4),
+                               num_spark_partitions=4)
+        builtin = a.join(b, a["k"] == b["k"])
+        got = sorted((r["v"], r["w"]) for r in out.collect())
+        assert got == sorted((r["v"], r["w"]) for r in builtin.collect())
+        assert len(got) == 6 and ("nan", "nan") in got
+
     def test_empty_side_yields_empty(self, spark):
         import pandas as pd
         a = spark.createDataFrame(pd.DataFrame({"k": [1, 2], "v": ["a", "b"]}))

@@ -39,14 +39,23 @@ def make_skewed_records(n: int, *, hot_keys: int = 5, seed: int = 0,
     return out
 
 
+#: the oracle's one key for every NaN
+_NAN = object()
+
+
 def naive_hash_join(build, probe) -> List[Tuple[object, object]]:
     """Reference equijoin, the test oracle: (build payload, probe payload)
     for every key match. A plain dict, so Python's own equality decides
-    that 1, 1.0 and np.int64(1) match."""
+    that 1, 1.0 and np.int64(1) match; every NaN is one key, as NaN = NaN
+    is true in Spark SQL joins."""
+    def key_of(key):
+        return _NAN if key != key else key
+
     table: dict = {}
     for key, _size, payload in build:
-        table.setdefault(key, []).append(payload)
-    return [(b, payload) for key, _size, payload in probe for b in table.get(key, ())]
+        table.setdefault(key_of(key), []).append(payload)
+    return [(b, payload) for key, _size, payload in probe
+            for b in table.get(key_of(key), ())]
 
 
 def assert_free_list_invariant(parts, pool=None) -> None:
