@@ -18,10 +18,8 @@ operator's input buffer, like AsterixDB's input frame) and routes each
 batch with one ``split_partition`` call; insertion, spilling and probing
 stay record at a time, in input order.
 
-The rounds run from an explicit stack, depth first (§2.3 recursion on
-each spilled partition pair), and every round hands out one lazy pair
-iterator per probe batch; ``run`` and ``run_collect`` drain those, so a
-pair passes through no chain of recursive generators.
+Every round hands out one lazy pair iterator per probe batch (DESIGN.md
+§10).
 
 Input records are ``(key, size_bytes, payload)`` triples. ``_admit``
 turns each into the operator's one record tuple, ``(size, key,
@@ -38,13 +36,12 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..frames.partition import Partition, SpillFiles
 from ..frames.pool import BufferPool
-from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record, SpillFile
+from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy
@@ -152,19 +149,6 @@ class HHJConfig:
             )
 
 
-class _ChildRound(NamedTuple):
-    """A round waiting on the stack: the parent's spill files it replays
-    (its build side first, after any §8.2 role reversal) and closes when
-    it ends, and the sizes its kernel is chosen by."""
-
-    build: SpillFile
-    probe: SpillFile
-    level: int
-    build_frames: int
-    parent_build_frames: int
-    swapped: bool
-
-
 class DynamicHybridHashJoin:
     """One (multi-round) Dynamic HHJ execution with its statistics."""
 
@@ -182,7 +166,7 @@ class DynamicHybridHashJoin:
             # one temp file for the side, opened by its first spill file
             shared: List[Any] = []
             return lambda pid: DiskSpillFile(stats, phase, pid, level, shared,
-                                             dir=cfg.spill_dir)
+                                             cfg.spill_dir)
         return lambda pid: MemorySpillFile(stats, phase, pid, level)
 
     def _new_partitions(self, p: int, pool: BufferPool,
@@ -217,14 +201,16 @@ class DynamicHybridHashJoin:
             probe: Iterable[InputRecord]) -> Iterator[Pair]:
         """Execute the join lazily: a generator of (build_payload,
         probe_payload) pairs; ``close()`` it to stop early."""
-        with closing(self._pair_batches(build, probe)) as batches:
+        with closing(self._round(self._admit(build), self._admit(probe), 0,
+                                 None, None, False)) as batches:
             for pairs in batches:
                 yield from pairs
 
     def run_collect(self, build: Iterable[InputRecord],
                     probe: Iterable[InputRecord]) -> List[Pair]:
         out: List[Pair] = []
-        with closing(self._pair_batches(build, probe)) as batches:
+        with closing(self._round(self._admit(build), self._admit(probe), 0,
+                                 None, None, False)) as batches:
             for pairs in batches:
                 out.extend(pairs)
         return out
@@ -294,42 +280,11 @@ class DynamicHybridHashJoin:
             self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
         return partitions, pool, max(1, -(-build_bytes // cfg.frame_bytes))
 
-    def _pair_batches(self, build: Iterable[InputRecord],
-                      probe: Iterable[InputRecord]) -> Iterator[Iterator[Pair]]:
-        """Every round of the join, from an explicit stack of pending
-        rounds: each round hands out one lazy pair iterator per probe
-        batch.
-
-        A hashing round pushes the child rounds of its spilled pairs in
-        reverse, so they run depth first, in partition order. A child
-        closes the parent's spill files it replays when it ends; on an
-        early close or an exception, the ``finally`` closes the files of
-        the rounds still on the stack.
-        """
-        stack: List[_ChildRound] = []
-        try:
-            yield from self._round(self._admit(build), self._admit(probe), 0,
-                                   None, None, False, stack)
-            while stack:
-                child = stack.pop()
-                try:
-                    yield from self._round(child.build.replay(), child.probe.replay(),
-                                           child.level, child.build_frames,
-                                           child.parent_build_frames, child.swapped,
-                                           stack)
-                finally:
-                    child.build.close()
-                    child.probe.close()
-        finally:
-            for child in stack:
-                child.build.close()
-                child.probe.close()
-
     def _round(self, build: Iterator[Record], probe: Iterator[Record],
                level: int, build_frames: Optional[int],
-               parent_build_frames: Optional[int], swapped: bool,
-               stack: List[_ChildRound]) -> Iterator[Iterator[Pair]]:
-        """The join kernel one round takes, by its level and build size."""
+               parent_build_frames: Optional[int], swapped: bool) -> Iterator[Iterator[Pair]]:
+        """The join kernel one round takes, by its level and build size: a
+        generator of one lazy pair iterator per probe batch."""
         # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
         if level > MAX_LEVELS or (
                 level > 0 and build_frames >= (1.0 - BAILOUT_SHRINK) * parent_build_frames):
@@ -337,14 +292,13 @@ class DynamicHybridHashJoin:
         # §8.3 in-memory shortcut: known-small build skips partitioning.
         if level > 0 and build_frames * TABLE1_FUDGE <= self.cfg.memory_frames:
             return self._in_memory_join(build, probe, swapped)
-        return self._hash_round(build, probe, level, build_frames, swapped, stack)
+        return self._hash_round(build, probe, level, build_frames, swapped)
 
     def _hash_round(self, build: Iterator[Record], probe: Iterator[Record],
-                    level: int, build_frames: Optional[int], swapped: bool,
-                    stack: List[_ChildRound]) -> Iterator[Iterator[Pair]]:
-        """One hashing round: build, probe a batch at a time, then push
-        the child round of each spilled pair that has records on both
-        sides; it takes over the pair's two spill files."""
+                    level: int, build_frames: Optional[int],
+                    swapped: bool) -> Iterator[Iterator[Pair]]:
+        """One hashing round: build, probe a batch at a time, then recurse
+        (§2.3) on each spilled pair that has records on both sides."""
         cfg, stats = self.cfg, self.stats
         stats.rounds += 1
         partitions, pool, this_build_frames = self._build(build, level, build_frames)
@@ -381,26 +335,32 @@ class DynamicHybridHashJoin:
                 yield self._probe_table(table, to_probe, swapped)
             for pp in probe_parts.values():
                 pp.write_out(keep_buffer=False)
-            self._collect_search_stats(partitions)
 
-            # ---------------- child rounds of the spilled pairs ----------------
-            for q in reversed(spilled):
+            del table
+            for q in resident:
+                q.close()
+
+            # ---------------- recursion on spilled pairs ----------------
+            for q in spilled:
                 pp = probe_parts[q.pid]
                 bfile, pfile = q.spill_file, pp.spill_file
                 b_frames = bfile.frames_written if bfile else 0
                 p_frames = pfile.frames_written if pfile else 0
-                if not (b_frames and p_frames):
-                    continue
-                # §8.2 role reversal: the smaller side builds.
-                if p_frames < b_frames:
-                    stats.role_reversals += 1
-                    child = _ChildRound(pfile, bfile, level + 1, p_frames,
-                                        this_build_frames, not swapped)
-                else:
-                    child = _ChildRound(bfile, pfile, level + 1, b_frames,
-                                        this_build_frames, swapped)
-                stack.append(child)
-                q.spill_file = pp.spill_file = None
+                if b_frames and p_frames:
+                    child_build = bfile.replay()
+                    child_probe = pfile.replay()
+                    child_bf, child_swapped = b_frames, swapped
+                    # §8.2 role reversal: the smaller side builds.
+                    if p_frames < b_frames:
+                        child_build, child_probe = child_probe, child_build
+                        child_bf, child_swapped = p_frames, not swapped
+                        stats.role_reversals += 1
+                    yield from self._round(child_build, child_probe, level + 1,
+                                           child_bf, this_build_frames, child_swapped)
+                q.close()
+                pp.close()
+
+            self._collect_search_stats(partitions)
         finally:
             # every exit path, early generator close and exceptions included
             for q in [*partitions, *probe_parts.values()]:

@@ -128,15 +128,13 @@ class DiskSpillFile(SpillFile):
     their temp file: the first file opens it, and a file made after every
     earlier one has closed opens a fresh one. Each file keeps the
     ``(offset, length)`` of its own frames, writes them at the shared end
-    and replays only them.
+    and replays only them. Closing a file frees none of its bytes: they
+    stay on disk until the last file on the temp file closes.
     """
 
     def __init__(self, stats: "JoinStats", phase: "Phase", pid: int, round_no: int,
-                 shared: Optional[List[_TempFile]] = None,
-                 dir: Optional[str] = None) -> None:
+                 shared: List[_TempFile], dir: Optional[str]) -> None:
         super().__init__(stats, phase, pid, round_no)
-        if shared is None:
-            shared = []
         if not shared or shared[0].users == 0:
             shared[:] = [_TempFile(dir)]
         self._tmp: Optional[_TempFile] = shared[0]

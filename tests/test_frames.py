@@ -181,7 +181,10 @@ class TestPartition:
 
 
 def new_file(factory, stats=None, phase="build", pid=0, round_no=0):
-    return factory(stats if stats is not None else JoinStats(), phase, pid, round_no)
+    # a DiskSpillFile on a temp file of its own, in the default temp dir
+    disk_args = ([], None) if factory is DiskSpillFile else ()
+    return factory(stats if stats is not None else JoinStats(), phase, pid, round_no,
+                   *disk_args)
 
 
 class TestSpillFiles:

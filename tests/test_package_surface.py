@@ -25,6 +25,7 @@ from repro.experiments.fig345 import fig3, fig4, fig5, lower_bound_summary
 from repro.experiments.fig1011 import fig10, fig11
 from repro.experiments.runner import records_for_ratio, show
 from repro.experiments.table1 import table1
+from repro.frames.spillfile import DiskSpillFile
 from repro.insertion import InsertionPolicy
 from repro.insertion import make_policy as make_insertion
 from repro.storage.device import response_time
@@ -121,12 +122,13 @@ SIGNATURES = {
     records_for_ratio: ["ratio", "memory_frames", "avg_record_bytes"],
     elevator_coalesce: ["trace", "cache_frames"],
     make_insertion: ["name", "seed"],
+    DiskSpillFile.__init__: ["self", "stats", "phase", "pid", "round_no", "shared", "dir"],
 }
 
 #: Functions whose every caller passes every argument: a default added back
 #: must be added here, in plain view.
 NO_DEFAULTS = (ideal_spill_frames, ideal_spill_bytes, spill_ratio, records_for_ratio,
-               elevator_coalesce, make_insertion)
+               elevator_coalesce, make_insertion, DiskSpillFile.__init__)
 
 
 def test_trimmed_functions_keep_their_parameters():

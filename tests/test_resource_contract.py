@@ -133,7 +133,7 @@ class TestSpillCleanup:
         while 2 not in levels:
             next(gen)
         # inside a level-2 round, the open files of level 1 are the two it
-        # replays and those of the level-2 rounds still on the stack
+        # replays and those of the level-1 pairs not yet joined
         open_level_1 = [f for f in made if f.label[2] == 1 and id(f) not in closed]
         assert len(open_level_1) > 2
         assert os.listdir(tmp_path)
@@ -153,6 +153,38 @@ class TestSpillCleanup:
         monkeypatch.setattr(repro.core.join, "split_partition", failing)
         with pytest.raises(RuntimeError, match="level 2"):
             DynamicHybridHashJoin(deep_cfg(tmp_path)).run_collect(*deep_inputs)
+        assert os.listdir(tmp_path) == []
+
+    def test_spill_dir_peak_stays_near_the_bytes_open_files_hold(self, tmp_path,
+                                                                 deep_inputs, monkeypatch):
+        # A round side's temp file keeps the extents of its closed files (a
+        # §8.5 reload, a pair with an empty side) until its last file closes.
+        # One temp file per partition would hold only the open files' bytes.
+        open_files, peak = set(), {"dir": 0, "open": 0}
+        init, close = DiskSpillFile.__init__, DiskSpillFile.close
+        write = DiskSpillFile.write_frame
+
+        def tracking_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            open_files.add(self)
+
+        def tracking_close(self):
+            open_files.discard(self)
+            close(self)
+
+        def measuring_write(self, records):
+            write(self, records)
+            on_disk = sum(e.stat().st_size for e in os.scandir(tmp_path))
+            held = sum(n for f in open_files for _offset, n in f._extents)
+            peak["dir"], peak["open"] = max(peak["dir"], on_disk), max(peak["open"], held)
+
+        monkeypatch.setattr(DiskSpillFile, "__init__", tracking_init)
+        monkeypatch.setattr(DiskSpillFile, "close", tracking_close)
+        monkeypatch.setattr(DiskSpillFile, "write_frame", measuring_write)
+        op = DynamicHybridHashJoin(deep_cfg(tmp_path))
+        op.run_collect(*deep_inputs)
+        assert op.stats.frames_reloaded > 0
+        assert peak["open"] <= peak["dir"] <= 1.1 * peak["open"]
         assert os.listdir(tmp_path) == []
 
     def test_disk_join_that_spills_nothing_runs_no_spill_file_code(self, tmp_path):
