@@ -15,16 +15,20 @@ shortcut and reloading spilled partitions are always on.
 
 Each round reads its input a batch at a time (``BATCH_RECORDS``, the
 operator's input buffer, like AsterixDB's input frame) and routes each
-batch with one ``split_partition`` call; insertion, spilling and probing
+build batch with one ``split_partition`` call, and each probe batch too
+once a partition of the round has spilled (with none spilled, every
+probe record goes to the hash table); insertion, spilling and probing
 stay record at a time, in input order.
 
 Every round hands out one lazy pair iterator per probe batch (DESIGN.md
 §10).
 
-Input records are ``(key, size_bytes, payload)`` triples. ``_admit``
-turns each into the operator's one record tuple, ``(size, key,
-payload)``, which frames, spill files, replays, the hash table and the
-fallback joins all use unchanged. In *stats-only* use (the experiment
+Records are ``(key, size_bytes, payload)`` tuples (:data:`Record`), the
+caller's layout and the operator's: frames, spill files, replays, the
+hash table and the fallback joins all use it unchanged. ``_admit`` lets
+a batch of the caller's tuples through as they are when every key is a
+plain ``int``, and rebuilds any other batch with canonical keys
+(DESIGN.md §8). In *stats-only* use (the experiment
 harnesses) payloads may be ``None``; the operator's control flow depends
 only on keys and sizes, so measurements are identical either way. All
 I/O is accounted in :class:`JoinStats` and the actual write trace, which
@@ -52,8 +56,6 @@ from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
 from .stats import JoinStats, Phase
 
-#: an input record: ``(key, size_bytes, payload)``
-InputRecord = Tuple[Any, int, Any]
 Pair = Tuple[Any, Any]
 
 #: §8.1: a later round whose build input is not at least this share smaller
@@ -66,8 +68,8 @@ MAX_LEVELS = 30
 #: budget.
 BATCH_RECORDS = 4096
 
-_size = itemgetter(0)
-_key = itemgetter(1)
+_key = itemgetter(0)
+_size = itemgetter(1)
 
 
 def _batches(records: Iterable[Any]) -> Iterator[List[Any]]:
@@ -82,11 +84,11 @@ def _blocks(records: Iterable[Record], block_bytes: int) -> Iterator[List[Record
     block: List[Record] = []
     used = 0
     for rec in records:
-        if used + rec[0] > block_bytes and block:
+        if used + rec[1] > block_bytes and block:
             yield block
             block, used = [], 0
         block.append(rec)
-        used += rec[0]
+        used += rec[1]
     if block:
         yield block
 
@@ -177,28 +179,35 @@ class DynamicHybridHashJoin:
         return [Partition(pid, self.cfg.frame_bytes, pool, spill_files, new_policy(pid))
                 for pid in range(p)]
 
-    def _admit(self, records: Iterable[InputRecord]) -> Iterator[Record]:
-        """Every input record enters the operator here, exactly once, as
-        a ``(size, key, payload)`` record built one input batch at a time.
+    def _admit(self, records: Iterable[Record]) -> Iterator[List[Record]]:
+        """Every input record enters the operator here, exactly once, in
+        batches of ``BATCH_RECORDS``.
 
         The operator's only key canonicalisation (1, 1.0 and np.int64(1)
         all join together) and its only record-size check, for both
-        sides. Spilled records keep the canonical key, so later rounds,
-        reload and the fallback joins never redo either.
+        sides. A batch of 3-tuples whose keys are all plain ints (the
+        type test of ``split._bases``) is already canonical and passes
+        through as the caller's own list of tuples; any other batch is
+        rebuilt with canonical keys. Spilled records keep the canonical
+        key, so later rounds, reload and the fallback joins never redo
+        either.
         """
         fb = self.cfg.frame_bytes
         for batch in _batches(records):
-            admitted = [(size, key if type(key) is int else _canonical(key), payload)
-                        for key, size, payload in batch]
-            for size in map(_size, admitted):
-                if not 0 < size <= fb:
-                    raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
-                                     "records must be non-empty and fit one frame")
-            yield from admitted
+            if not (set(map(type, batch)) == {tuple} and set(map(len, batch)) == {3}
+                    and set(map(type, map(_key, batch))) == {int}):
+                batch = [(key if type(key) is int else _canonical(key), size, payload)
+                         for key, size, payload in batch]
+            if not (0 < min(map(_size, batch)) and max(map(_size, batch)) <= fb):
+                for size in map(_size, batch):
+                    if not 0 < size <= fb:
+                        raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
+                                         "records must be non-empty and fit one frame")
+            yield batch
 
     # -- public API ------------------------------------------------------
-    def run(self, build: Iterable[InputRecord],
-            probe: Iterable[InputRecord]) -> Iterator[Pair]:
+    def run(self, build: Iterable[Record],
+            probe: Iterable[Record]) -> Iterator[Pair]:
         """Execute the join lazily: a generator of (build_payload,
         probe_payload) pairs; ``close()`` it to stop early."""
         with closing(self._round(self._admit(build), self._admit(probe), 0,
@@ -206,8 +215,8 @@ class DynamicHybridHashJoin:
             for pairs in batches:
                 yield from pairs
 
-    def run_collect(self, build: Iterable[InputRecord],
-                    probe: Iterable[InputRecord]) -> List[Pair]:
+    def run_collect(self, build: Iterable[Record],
+                    probe: Iterable[Record]) -> List[Pair]:
         out: List[Pair] = []
         with closing(self._round(self._admit(build), self._admit(probe), 0,
                                  None, None, False)) as batches:
@@ -215,7 +224,7 @@ class DynamicHybridHashJoin:
                 out.extend(pairs)
         return out
 
-    def build_only(self, build: Iterable[InputRecord]) -> List[Partition]:
+    def build_only(self, build: Iterable[Record]) -> List[Partition]:
         """Run just the round-0 build phase (victim/growth experiments).
 
         Includes the end-of-build flush of spilled partitions so the
@@ -227,10 +236,11 @@ class DynamicHybridHashJoin:
         return partitions
 
     # -- one round -------------------------------------------------------
-    def _build(self, build: Iterator[Record], level: int,
+    def _build(self, build: Iterator[List[Record]], level: int,
                build_frames: Optional[int]) -> Tuple[List[Partition], BufferPool, int]:
-        """One round's build phase: choose P, partition ``build`` within
-        the frame budget, flush the spilled partitions' tails.
+        """One round's build phase: choose P, partition the batches of
+        ``build`` within the frame budget, flush the spilled partitions'
+        tails.
 
         Returns the partitions, the pool holding their frames and the
         build input's size in frames. Round 0 records its resident frames
@@ -259,7 +269,7 @@ class DynamicHybridHashJoin:
 
         try:
             build_bytes = 0
-            for batch in _batches(build):
+            for batch in build:
                 self.stats.records_processed += len(batch)
                 build_bytes += sum(map(_size, batch))
                 pids = split_partition(list(map(_key, batch)), p, level)
@@ -280,11 +290,12 @@ class DynamicHybridHashJoin:
             self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
         return partitions, pool, max(1, -(-build_bytes // cfg.frame_bytes))
 
-    def _round(self, build: Iterator[Record], probe: Iterator[Record],
+    def _round(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
                level: int, build_frames: Optional[int],
                parent_build_frames: Optional[int], swapped: bool) -> Iterator[Iterator[Pair]]:
-        """The join kernel one round takes, by its level and build size: a
-        generator of one lazy pair iterator per probe batch."""
+        """The join kernel one round takes, by its level and build size,
+        over the two sides' record batches: a generator of one lazy pair
+        iterator per probe batch."""
         # §8.1 bail-out: hashing is not shrinking the data — stop hashing.
         if level > MAX_LEVELS or (
                 level > 0 and build_frames >= (1.0 - BAILOUT_SHRINK) * parent_build_frames):
@@ -294,7 +305,7 @@ class DynamicHybridHashJoin:
             return self._in_memory_join(build, probe, swapped)
         return self._hash_round(build, probe, level, build_frames, swapped)
 
-    def _hash_round(self, build: Iterator[Record], probe: Iterator[Record],
+    def _hash_round(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
                     level: int, build_frames: Optional[int],
                     swapped: bool) -> Iterator[Iterator[Pair]]:
         """One hashing round: build, probe a batch at a time, then recurse
@@ -321,16 +332,18 @@ class DynamicHybridHashJoin:
             probe_files = self._spill_files("probe", level)
             for q in spilled:
                 probe_parts[q.pid] = Partition(q.pid, cfg.frame_bytes, pool, probe_files)
-            for batch in _batches(probe):
+            for batch in probe:
                 stats.records_processed += len(batch)
-                pids = split_partition(list(map(_key, batch)), p, level)
-                to_probe = []
-                for rec, pid in zip(batch, pids):
-                    pp = probe_parts.get(pid)
-                    if pp is not None:
-                        pp.append_buffered(rec)
-                    else:
-                        to_probe.append(rec)
+                to_probe = batch
+                if probe_parts:        # route only when some partition spilled
+                    pids = split_partition(list(map(_key, batch)), p, level)
+                    to_probe = []
+                    for rec, pid in zip(batch, pids):
+                        pp = probe_parts.get(pid)
+                        if pp is not None:
+                            pp.append_buffered(rec)
+                        else:
+                            to_probe.append(rec)
                 stats.hash_probes += len(to_probe)
                 yield self._probe_table(table, to_probe, swapped)
             for pp in probe_parts.values():
@@ -347,8 +360,8 @@ class DynamicHybridHashJoin:
                 b_frames = bfile.frames_written if bfile else 0
                 p_frames = pfile.frames_written if pfile else 0
                 if b_frames and p_frames:
-                    child_build = bfile.replay()
-                    child_probe = pfile.replay()
+                    child_build = _batches(bfile.replay())
+                    child_probe = _batches(pfile.replay())
                     child_bf, child_swapped = b_frames, swapped
                     # §8.2 role reversal: the smaller side builds.
                     if p_frames < b_frames:
@@ -429,8 +442,13 @@ class DynamicHybridHashJoin:
         table of every join the operator runs (resident partitions, the
         §8.3 shortcut and each §8.1 block)."""
         table: Dict[Any, List[Any]] = {}
-        for _size, key, payload in records:
-            table.setdefault(key, []).append(payload)
+        get = table.get
+        for key, _size, payload in records:
+            payloads = get(key)
+            if payloads is None:
+                table[key] = [payload]
+            else:
+                payloads.append(payload)
         return table
 
     @staticmethod
@@ -441,31 +459,32 @@ class DynamicHybridHashJoin:
         operator goes through here."""
         get = table.get
         if swapped:
-            return ((payload, b) for _size, key, payload in probe for b in get(key, ()))
-        return ((b, payload) for _size, key, payload in probe for b in get(key, ()))
+            return ((payload, b) for key, _size, payload in probe for b in get(key, ()))
+        return ((b, payload) for key, _size, payload in probe for b in get(key, ()))
 
     # -- fallback operators ----------------------------------------------
-    def _in_memory_join(self, build: Iterator[Record], probe: Iterator[Record],
+    def _in_memory_join(self, build: Iterator[List[Record]],
+                        probe: Iterator[List[Record]],
                         swapped: bool) -> Iterator[Iterator[Pair]]:
         """§8.3: skip partitioning, hash the whole build input directly
         (it is known to fit the memory budget)."""
         stats = self.stats
         stats.in_memory_rounds += 1
-        records = list(build)
+        records = list(chain.from_iterable(build))
         stats.records_processed += len(records)
         table = self._hash_table(records)
-        for batch in _batches(probe):
+        for batch in probe:
             stats.records_processed += len(batch)
             stats.hash_probes += len(batch)
             yield self._probe_table(table, batch, swapped)
 
-    def _bnlj(self, build: Iterator[Record], probe: Iterator[Record],
+    def _bnlj(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
               swapped: bool) -> Iterator[Iterator[Pair]]:
         """§8.1 bail-out: block-nested-loop equijoin.
 
         Loads the build side block-by-block (a block = the memory budget
         minus an input and an output frame) and scans the probe side once
-        per block, ``BATCH_RECORDS`` probe records at a time. Key equality
+        per block, one probe batch at a time. Key equality
         is evaluated with an in-block index — same output as a
         tuple-at-a-time NLJ for an equijoin, without the quadratic
         constant.
@@ -473,11 +492,11 @@ class DynamicHybridHashJoin:
         self.stats.bnlj_rounds += 1
         cfg = self.cfg
         block_bytes = max(cfg.frame_bytes, (cfg.memory_frames - 2) * cfg.frame_bytes)
-        probe_cache: List[Record] = list(probe)
-        for block in _blocks(build, block_bytes):
+        probe_batches: List[List[Record]] = list(probe)
+        probe_records = sum(map(len, probe_batches))
+        for block in _blocks(chain.from_iterable(build), block_bytes):
             self.stats.records_processed += len(block)
-            self.stats.comparisons += len(probe_cache)
+            self.stats.comparisons += probe_records
             table = self._hash_table(block)
-            for start in range(0, len(probe_cache), BATCH_RECORDS):
-                yield self._probe_table(table, probe_cache[start:start + BATCH_RECORDS],
-                                        swapped)
+            for batch in probe_batches:
+                yield self._probe_table(table, batch, swapped)

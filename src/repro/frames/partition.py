@@ -6,8 +6,10 @@ that searches it; when the partition spills it gains a spill file and —
 under NG-NS — is reduced to a single output buffer frame.
 
 A frame is two entries at one index: ``frames[i]``, the list of its
-``(size, key, payload)`` records, and ``free[i]``, its free bytes. The
-insertion policy searches ``free`` alone. :meth:`place`,
+``(key, size, payload)`` records (:data:`~repro.frames.spillfile.Record`,
+the caller's own tuples where the operator admitted them uncopied), and
+``free[i]``, its free bytes. The insertion policy searches ``free``
+alone. :meth:`place`,
 :meth:`append_buffered`, :meth:`write_out`, :meth:`drop_frames` and
 :meth:`close` are the only code that changes either list, so
 ``free[i] == frame_bytes - Σ size`` over ``frames[i]`` always holds.
@@ -53,6 +55,12 @@ class Partition:
         self._spill_files = spill_files
         #: the operator's default, Append(8), unless the caller picks one
         self.insertion = insertion if insertion is not None else AppendN(8)
+        #: the policy's ``notify_inserted``, or None when it keeps the
+        #: base class's no-op (every policy but Next-Fit)
+        self._notify_inserted = (
+            self.insertion.notify_inserted
+            if type(self.insertion).notify_inserted is not InsertionPolicy.notify_inserted
+            else None)
 
     # -- in-memory state -------------------------------------------------
     @property
@@ -82,14 +90,15 @@ class Partition:
         ``make_room(self)`` may free frames; it returns False to give up.
         Returns False when the record was not placed.
         """
-        size = rec[0]
+        size = rec[1]
         free = self.free
         if free:
             idx = self.insertion.find_frame(free, size)
             if idx is not None:
                 self.frames[idx].append(rec)
                 free[idx] -= size
-                self.insertion.notify_inserted(idx, size)
+                if self._notify_inserted is not None:
+                    self._notify_inserted(idx, size)
                 return True
         while not self.pool.can_allocate(1):
             if make_room is None or not make_room(self):
@@ -97,7 +106,8 @@ class Partition:
         self.pool.allocate(1)
         self.frames.append([rec])
         self.free.append(self.frame_bytes - size)
-        self.insertion.notify_inserted(len(self.free) - 1, size)
+        if self._notify_inserted is not None:
+            self._notify_inserted(len(self.free) - 1, size)
         return True
 
     def append_buffered(self, rec: Record) -> None:
@@ -108,7 +118,7 @@ class Partition:
             self.pool.allocate(1)
             self.frames.append([])
             self.free.append(self.frame_bytes)
-        size = rec[0]
+        size = rec[1]
         if size > self.free[0]:
             self._write([self.frames[0]])
             self.frames[0] = []

@@ -20,6 +20,11 @@ the storage model) sees exactly what the files hold.
 
 A file is made with the stats it records into and owns the label of
 its writes: its side (build or probe), partition and round.
+
+A file stores the operator's records as they are, :data:`Record` tuples
+``(key, size, payload)`` (the caller's own tuples where ``_admit`` let
+them through): a memory file replays the same objects, a disk file equal
+tuples unpickled from its frames.
 """
 from __future__ import annotations
 
@@ -31,12 +36,12 @@ from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 if TYPE_CHECKING:
     from ..core.stats import JoinStats, Phase
 
-#: ``(size, key, payload)``: the one record layout from the operator's
-#: input to frames, spill files and replay. The size comes first so a
-#: frame's bytes are ``sum(r[0] for r in records)`` whatever the key and
-#: payload hold, and the key travels with the record so spilled data can
-#: be re-partitioned in later rounds.
-Record = Tuple[int, Any, Any]
+#: ``(key, size_bytes, payload)``: the caller's input record, which is
+#: also the one record layout of frames, spill files, replay and the hash
+#: table. A frame's bytes are ``sum(r[1] for r in records)``, and the key
+#: travels with the record so spilled data can be re-partitioned in later
+#: rounds.
+Record = Tuple[Any, int, Any]
 
 
 class SpillFile:
@@ -88,7 +93,7 @@ class MemorySpillFile(SpillFile):
         """Append one frame's worth of records; accounts one frame of I/O."""
         self._records.extend(records)
         self.frames_written += 1
-        self.bytes_written += sum(r[0] for r in records)
+        self.bytes_written += sum(r[1] for r in records)
 
     def read_all(self) -> Iterator[Record]:
         """Replay every spilled record in write order."""
@@ -151,7 +156,7 @@ class DiskSpillFile(SpillFile):
         self._extents.append((tmp.end, len(data)))
         tmp.end += len(data)
         self.frames_written += 1
-        self.bytes_written += sum(r[0] for r in records)
+        self.bytes_written += sum(r[1] for r in records)
 
     def read_all(self) -> Iterator[Record]:
         fd = self._tmp.fd

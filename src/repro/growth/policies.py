@@ -92,9 +92,10 @@ class NoGrowNoSteal(GrowthPolicy):
     """NG-NS: spilled partitions own exactly one output-buffer frame."""
 
     def insert_into_spilled(self, part, rec) -> bool:
-        if part.num_frames == 0 and not part.pool.can_allocate(1):
+        n = len(part.frames)
+        if n == 0 and not part.pool.can_allocate(1):
             return False
-        assert part.num_frames <= 1, "NG-NS invariant: one buffer per spilled partition"
+        assert n <= 1, "NG-NS invariant: one buffer per spilled partition"
         part.append_buffered(rec)
         return True
 

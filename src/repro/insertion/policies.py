@@ -36,7 +36,8 @@ class InsertionPolicy:
 
     def notify_inserted(self, index: int, size: int) -> None:
         """Hook for stateful policies (Next-Fit): a record of ``size``
-        bytes went into frame ``index``. The default is stateless."""
+        bytes went into frame ``index``. The default is stateless, and a
+        partition does not call it for a policy that keeps it."""
 
     def notify_spilled(self) -> None:
         """Hook: the partition's frame array was truncated by a spill."""
@@ -65,6 +66,10 @@ class AppendN(InsertionPolicy):
         self.n = n
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
+        # the newest frame first, the usual fit, without setting up a scan
+        if free and free[-1] >= size:
+            self.frames_searched += 1
+            return len(free) - 1
         return self._newest_first(free, size, max(0, len(free) - self.n))
 
 

@@ -28,7 +28,7 @@ def placed(cap, *sizes, pool=None, stats=None):
     stats = stats if stats is not None else JoinStats(cap)
     p = Partition(0, cap, pool, spill_files(stats))
     for i, size in enumerate(sizes):
-        assert p.place((size, i, f"r{i}"))
+        assert p.place((i, size, f"r{i}"))
     return p
 
 
@@ -58,7 +58,7 @@ class TestFrame:
         p = placed(1000, 400)
         assert p.in_memory_bytes == 400
         assert p.free == [600]
-        assert p.frames == [[(400, 0, "r0")]]
+        assert p.frames == [[(0, 400, "r0")]]
 
     def test_insert_multiple(self):
         p = placed(1000, 300, 300, 400)
@@ -87,7 +87,7 @@ class TestFrame:
         p.write_out(keep_buffer=True)
         assert p.frames == [[]]
         assert p.free == [1000]
-        assert p.place((1000, 0, "x")) and p.num_frames == 1
+        assert p.place((0, 1000, "x")) and p.num_frames == 1
 
 
 class TestBufferPool:
@@ -147,20 +147,20 @@ class TestPartition:
         assert stats.build_bytes_spilled == 900
         assert p.spill_file.bytes_written == 900
         assert p.spill_file.frames_written == 1
-        assert list(p.spill_file.read_all()) == [(500, 0, "r0"), (400, 1, "r1")]
+        assert list(p.spill_file.read_all()) == [(0, 500, "r0"), (1, 400, "r1")]
 
     def test_totals_combine_memory_and_spill(self):
         p = placed(1000, 500, pool=BufferPool(4))
         p.write_out(keep_buffer=True)
-        p.append_buffered((200, 1, "b"))
+        p.append_buffered((1, 200, "b"))
         assert p.in_memory_records + len(list(p.spill_file.read_all())) == 2
         assert p.in_memory_bytes + p.spill_file.bytes_written == 700
 
     def test_writes_go_to_a_file_labelled_with_the_partition(self):
         stats = JoinStats(1000)
         p = Partition(5, 1000, BufferPool(4), spill_files(stats, "probe", 3))
-        p.append_buffered((600, 1, "a"))
-        p.append_buffered((600, 2, "b"))          # the buffer goes out first
+        p.append_buffered((1, 600, "a"))
+        p.append_buffered((2, 600, "b"))          # the buffer goes out first
         p.write_out(keep_buffer=False)
         assert stats.write_trace == [WriteOp(1, "probe", 5, 3), WriteOp(1, "probe", 5, 3)]
         assert stats.probe_bytes_spilled == 1200
@@ -171,11 +171,11 @@ class TestPartition:
         stats = JoinStats(1000)
         p = Partition(0, 1000, BufferPool(8), spill_files(stats), NextFit())
         for i in range(3):
-            assert p.place((900, i, None))
+            assert p.place((i, 900, None))
         assert p.insertion._last_index == 2
         p.write_out(keep_buffer)
         assert p.insertion._last_index is None
-        assert p.place((900, 9, None))
+        assert p.place((9, 900, None))
         p.drop_frames()
         assert p.insertion._last_index is None
 
@@ -191,18 +191,18 @@ class TestSpillFiles:
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_roundtrip(self, factory):
         sf = new_file(factory)
-        sf.write_frame([(100, "k1", "a"), (200, "k2", "b")])
-        sf.write_frame([(300, "k3", "c")])
+        sf.write_frame([("k1", 100, "a"), ("k2", 200, "b")])
+        sf.write_frame([("k3", 300, "c")])
         assert sf.frames_written == 2
         assert sf.bytes_written == 600
         assert list(sf.read_all()) == [
-            (100, "k1", "a"), (200, "k2", "b"), (300, "k3", "c")]
+            ("k1", 100, "a"), ("k2", 200, "b"), ("k3", 300, "c")]
         sf.close()
 
     @pytest.mark.parametrize("factory", [MemorySpillFile, DiskSpillFile])
     def test_read_all_is_repeatable(self, factory):
         sf = new_file(factory)
-        sf.write_frame([(100, "k", "v")])
+        sf.write_frame([("k", 100, "v")])
         assert list(sf.read_all()) == list(sf.read_all())
         sf.close()
 
@@ -219,23 +219,23 @@ class TestSpillFiles:
                 for pid in (0, 1))
         assert a.path == b.path
         assert os.listdir(tmp_path) == [os.path.basename(a.path)]
-        a.write_frame([(100, "a", 0)])
-        b.write_frame([(200, "b", 0), (300, "b", 1)])
-        a.write_frame([(400, "a", 1), (500, "a", 2)])
-        b.write_frame([(600, "b", 2)])
-        assert list(a.read_all()) == [(100, "a", 0), (400, "a", 1), (500, "a", 2)]
-        assert list(b.read_all()) == [(200, "b", 0), (300, "b", 1), (600, "b", 2)]
+        a.write_frame([("a", 100, 0)])
+        b.write_frame([("b", 200, 0), ("b", 300, 1)])
+        a.write_frame([("a", 400, 1), ("a", 500, 2)])
+        b.write_frame([("b", 600, 2)])
+        assert list(a.read_all()) == [("a", 100, 0), ("a", 400, 1), ("a", 500, 2)]
+        assert list(b.read_all()) == [("b", 200, 0), ("b", 300, 1), ("b", 600, 2)]
         assert (a.frames_written, a.bytes_written) == (2, 1000)
         assert (b.frames_written, b.bytes_written) == (2, 1100)
         a.close()
         assert os.path.exists(b.path)          # b still uses it
-        assert list(b.read_all()) == [(200, "b", 0), (300, "b", 1), (600, "b", 2)]
+        assert list(b.read_all()) == [("b", 200, 0), ("b", 300, 1), ("b", 600, 2)]
         b.close()
         assert os.listdir(tmp_path) == []
         # a file made after the last one closed opens a fresh temp file
         c = DiskSpillFile(stats, "build", 2, 1, shared, dir=str(tmp_path))
-        c.write_frame([(700, "c", 0)])
-        assert list(c.read_all()) == [(700, "c", 0)]
+        c.write_frame([("c", 700, 0)])
+        assert list(c.read_all()) == [("c", 700, 0)]
         assert os.listdir(tmp_path) == [os.path.basename(c.path)]
         c.close()
         assert os.listdir(tmp_path) == []
@@ -250,12 +250,12 @@ class TestSpillFiles:
     def test_write_and_replay_are_recorded_under_the_files_label(self, factory):
         stats = JoinStats(1000)
         sf = new_file(factory, stats, "probe", 7, 2)
-        sf.write_frames([[(100, "k1", "a"), (200, "k2", "b")], [(300, "k3", "c")]])
-        sf.write_frames([[(400, "k4", "d")]])
+        sf.write_frames([[("k1", 100, "a"), ("k2", 200, "b")], [("k3", 300, "c")]])
+        sf.write_frames([[("k4", 400, "d")]])
         assert stats.write_trace == [WriteOp(2, "probe", 7, 2), WriteOp(1, "probe", 7, 2)]
         assert (stats.probe_frames_spilled, stats.probe_bytes_spilled) == (3, 1000)
         assert stats.build_frames_spilled == 0
-        assert [r[0] for r in sf.replay()] == [100, 200, 300, 400]
+        assert [r[1] for r in sf.replay()] == [100, 200, 300, 400]
         assert stats.frames_read == 3
         sf.close()
 
@@ -297,7 +297,7 @@ class TestFreeListInvariant:
 
         for n, (op, pid, *args) in enumerate(steps):
             part = parts[pid]
-            rec = (args[0], n, f"r{n}") if op in ("place", "append_buffered") else None
+            rec = (n, args[0], f"r{n}") if op in ("place", "append_buffered") else None
             if op == "place":
                 part.place(rec, make_room if args[1] else None)
             elif op == "append_buffered":

@@ -15,7 +15,7 @@ CAP = 1000
 def filled_partition(pid, n_frames, pool, stats, bytes_per_frame=800):
     p = Partition(pid, CAP, pool, spill_files(stats), insertion=AppendN(8))
     for _ in range(n_frames):
-        assert p.place((bytes_per_frame, None, None))
+        assert p.place((None, bytes_per_frame, None))
     assert p.num_frames == n_frames
     return p
 
@@ -85,9 +85,9 @@ class TestNGNS:
         g = ng_ns(stats)
         g.initial_spill(part)
         # fill the buffer: 900 fits
-        assert g.insert_into_spilled(part, (900, None, "a"))
+        assert g.insert_into_spilled(part, (None, 900, "a"))
         # next 900 does not fit → buffer flushes as one random write
-        assert g.insert_into_spilled(part, (900, None, "b"))
+        assert g.insert_into_spilled(part, (None, 900, "b"))
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
@@ -100,7 +100,7 @@ class TestNGNS:
         g = ng_ns(stats)
         g.initial_spill(part)
         for i in range(20):
-            g.insert_into_spilled(part, (600, None, i))
+            g.insert_into_spilled(part, (None, 600, i))
             assert part.num_frames == 1
 
     def test_free_memory_only_victimizes_residents(self):
@@ -142,7 +142,7 @@ class TestGS:
         g = g_s(stats)
         g.initial_spill(part)
         for i in range(10):
-            assert g.insert_into_spilled(part, (900, None, i))
+            assert g.insert_into_spilled(part, (None, 900, i))
         assert part.num_frames > 1                       # it grew
 
     def test_insert_fails_when_pool_exhausted(self):
@@ -151,7 +151,7 @@ class TestGS:
         part = filled_partition(0, 3, pool, stats)
         g = g_s(stats)
         part.spilled = True          # simulate an already-spilled, full state
-        assert not g.insert_into_spilled(part, (900, None, "x"))
+        assert not g.insert_into_spilled(part, (None, 900, "x"))
 
     def test_steal_flushes_largest_spilled_sequentially(self):
         pool = BufferPool(16)

@@ -172,9 +172,20 @@ class TestEdgeCases:
         parts = DynamicHybridHashJoin(HHJConfig(
             memory_frames=8, frame_bytes=FRAME, num_partitions=4)).build_only(build)
         stored = {payload: key for q in parts for f in q.frames
-                  for _, key, payload in f}
+                  for key, _, payload in f}
         assert {p: type(k) for p, k in stored.items()} == {
             "a": int, "b": int, "c": int, "d": float, "e": str, "f": bool}
+
+    def test_plain_int_key_records_are_stored_as_given(self):
+        # a batch of tuples whose keys are all plain ints is admitted
+        # uncopied: the frames hold the caller's own record objects
+        build = make_records(2 * BATCH_RECORDS + 5, lo=100, hi=300)
+        parts = DynamicHybridHashJoin(HHJConfig(
+            memory_frames=4096, frame_bytes=FRAME, num_partitions=4)).build_only(build)
+        given = {rec[2]: rec for rec in build}
+        stored = [rec for q in parts for f in q.frames for rec in f]
+        assert len(stored) == len(build)
+        assert all(rec is given[rec[2]] for rec in stored)
 
     def test_nan_keys_match_each_other(self):
         # NaN = NaN in Spark SQL joins; each NaN here is its own object
@@ -435,7 +446,8 @@ class TestPinnedOutputOrder:
 class TestSplitCalls:
     """The operator routes a batch per ``split_partition`` call, and the
     call carries the round's level: a tracer that wraps the function sees
-    the recursion depth and one call per batch."""
+    the recursion depth and one call per batch. A round routes its probe
+    batches only when one of its partitions spilled."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -453,9 +465,19 @@ class TestSplitCalls:
         n = 2 * BATCH_RECORDS + 5
         build = make_records(n, key_range=3 * n, lo=100, hi=300, seed=31, tag="b")
         probe = make_records(n, key_range=3 * n, lo=100, hi=300, seed=32, tag="p")
-        run_and_compare(build, probe, memory_frames=4096, num_partitions=20)
+        stats = run_and_compare(build, probe, memory_frames=4096, num_partitions=20)
+        assert stats.partitions_spilled == 0 and stats.hash_probes == n
+        # nothing spilled: the probe batches go to the hash table unrouted
+        assert calls == [(k, 0) for k in [BATCH_RECORDS, BATCH_RECORDS, 5]]
+
+    def test_round_with_a_spilled_partition_splits_every_probe_batch(self, calls):
+        n = 2 * BATCH_RECORDS + 5
+        build = make_records(n, key_range=3 * n, lo=100, hi=300, seed=31, tag="b")
+        probe = make_records(n, key_range=3 * n, lo=100, hi=300, seed=32, tag="p")
+        stats = run_and_compare(build, probe, memory_frames=1024, num_partitions=20)
+        assert 0 < stats.partitions_spilled < 20
         per_side = [BATCH_RECORDS, BATCH_RECORDS, 5]
-        assert calls == [(k, 0) for k in per_side + per_side]
+        assert [c for c in calls if c[1] == 0] == [(k, 0) for k in per_side + per_side]
 
     def test_recursive_run_reports_its_levels(self, calls, tmp_path):
         build = make_skewed_records(12_000, hot_keys=400, lo=100, hi=300, seed=23, tag="b")

@@ -4,6 +4,7 @@ runs over every policy combination equal the naive join with I/O
 accounting that matches what the spill files wrote."""
 import os
 import random
+import re
 import sys
 import tempfile
 from unittest import mock
@@ -235,6 +236,30 @@ class TestRecordSizes:
             else:
                 op.run_collect(build, probe)
 
+    @pytest.mark.parametrize("side", ["build", "probe"])
+    @pytest.mark.parametrize("size", [0, -1, FRAME + 1])
+    def test_bad_size_last_in_a_full_batch_raises(self, side, size):
+        # a batch of plain-int-key tuples is checked by its min and max
+        # size; the one bad record is the batch's last
+        good = [(i, 100, i) for i in range(BATCH_RECORDS)]
+        bad = good[:-1] + [(BATCH_RECORDS, size, "bad")]
+        build, probe = (bad, good) if side == "build" else (good, bad)
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=1024, frame_bytes=FRAME,
+                                             num_partitions=4))
+        message = (f"record of {size} B is outside (0, {FRAME}] B: "
+                   "records must be non-empty and fit one frame")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            op.run_collect(build, probe)
+
+    @pytest.mark.parametrize("side", ["build", "probe"])
+    def test_size_of_one_frame_last_in_a_full_batch_is_accepted(self, side):
+        good = [(i, 100, i) for i in range(BATCH_RECORDS)]
+        edge = good[:-1] + [(BATCH_RECORDS - 1, FRAME, "one frame")]
+        build, probe = (edge, good) if side == "build" else (good, edge)
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=1024, frame_bytes=FRAME,
+                                             num_partitions=4))
+        assert sorted(op.run_collect(build, probe), key=repr) == sorted(
+            naive_hash_join(build, probe), key=repr)
 
     @pytest.mark.parametrize("side", ["build", "probe"])
     def test_size_past_the_first_batch_raises_and_cleans_up(self, tmp_path,

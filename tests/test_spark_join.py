@@ -5,6 +5,9 @@ The frame budgets are deliberately tiny so the executor-side operator
 actually spills, recurses, and (in one case) bails out — "it ran" is not
 the bar; byte-identical results with DuckDB are.
 """
+from datetime import date, datetime
+from decimal import Decimal
+
 import pytest
 
 from repro import synth_data
@@ -169,6 +172,33 @@ class TestSchemaHandling:
         got = sorted((r["v"], r["w"]) for r in out.collect())
         assert got == sorted((r["v"], r["w"]) for r in builtin.collect())
         assert len(got) == 6 and ("nan", "nan") in got
+
+    @pytest.mark.parametrize("key_type,values", [
+        ("decimal(10,2)", [Decimal("1.10"), Decimal("-2.50"), Decimal("99999999.99"),
+                           Decimal("0.00")]),
+        ("date", [date(2020, 1, 1), date(1970, 1, 1), date(2038, 1, 19), date(1, 1, 1)]),
+        ("timestamp", [datetime(2020, 1, 1, 12), datetime(1970, 1, 1, 0, 0, 1),
+                       datetime(2000, 2, 29, 23, 59, 59), datetime(1999, 12, 31)]),
+        ("string", ["a", "", "\u00df", "12"]),
+        ("bigint", [2**63 - 1, -(2**63 - 1), 0, 2**62]),
+        ("binary", [b"\x00", b"ab", b"", b"\xff" * 9]),
+        ("boolean", [True, False, False, True]),
+    ])
+    def test_key_type_joins_as_in_spark(self, spark, key_type, values):
+        # 3 rows per side: a repeated key, a key the other side lacks
+        v0, v1, v2, v3 = values
+        a = spark.createDataFrame([(v0, "b0"), (v1, "b1"), (v1, "b2")],
+                                  f"k {key_type}, v string")
+        b = spark.createDataFrame([(v1, "p0"), (v2, "p1"), (v0, "p2")],
+                                  f"k {key_type}, w string")
+        out = dynamic_hhj_join(a, b, "k", "k",
+                               HHJConfig(memory_frames=8, frame_bytes=4096,
+                                         num_partitions=4, min_partitions=4),
+                               num_spark_partitions=4)
+        builtin = a.join(b, a["k"] == b["k"])
+        got = sorted((r["v"], r["w"]) for r in out.collect())
+        assert got == sorted((r["v"], r["w"]) for r in builtin.collect())
+        assert len(got) >= 3
 
     def test_empty_side_yields_empty(self, spark):
         import pandas as pd

@@ -28,7 +28,7 @@ def part(pid, record_sizes, frame_bytes=CAP):
             p.frames.append([])
             p.free.append(frame_bytes)
             i = -1
-        p.frames[i].append((s, None, None))
+        p.frames[i].append((None, s, None))
         p.free[i] -= s
     return p
 

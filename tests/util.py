@@ -64,7 +64,7 @@ def assert_free_list_invariant(parts, pool=None) -> None:
     exactly the partitions' frames."""
     for q in parts:
         assert len(q.free) == len(q.frames)
-        used = [sum(r[0] for r in records) for records in q.frames]
+        used = [sum(r[1] for r in records) for records in q.frames]
         for free, frame_used in zip(q.free, used):
             assert 0 <= free == q.frame_bytes - frame_used
         assert q.in_memory_bytes == sum(used)
