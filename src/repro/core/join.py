@@ -24,8 +24,9 @@ Every round hands out one lazy pair iterator per probe batch (DESIGN.md
 §10).
 
 Records are ``(key, size_bytes, payload)`` tuples (:data:`Record`), the
-caller's layout and the operator's: frames, spill files, replays, the
-hash table and the fallback joins all use it unchanged. ``_admit`` lets
+caller's layout and the operator's: frames, spill files, replays and the
+fallback joins all use it unchanged, and the hash table (key → payload,
+DESIGN.md §9) is built from the records where they lie. ``_admit`` lets
 a batch of the caller's tuples through as they are when every key is a
 plain ``int``, and rebuilds any other batch with canonical keys
 (DESIGN.md §8). In *stats-only* use (the experiment
@@ -36,9 +37,10 @@ the storage model replays into device times.
 """
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -70,6 +72,9 @@ BATCH_RECORDS = 4096
 
 _key = itemgetter(0)
 _size = itemgetter(1)
+_payload = itemgetter(2)
+#: ``_probe_table``'s miss marker: a stored payload may be ``None``.
+_MISS = object()
 
 
 def _batches(records: Iterable[Any]) -> Iterator[List[Any]]:
@@ -121,6 +126,14 @@ def _canonical(key: Any) -> Any:
         elif key != key:
             key = NAN
     return key
+
+
+class _Many(list):
+    """The build payloads of a key that repeats, in input order: the one
+    hash-table value that is not a payload itself (a payload may be a
+    ``list``, never a :class:`_Many`)."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -324,7 +337,7 @@ class DynamicHybridHashJoin:
 
             resident = [q for q in partitions if not q.spilled]
             spilled = [q for q in partitions if q.spilled]
-            table = self._hash_table(chain.from_iterable(f for q in resident for f in q.frames))
+            table = self._hash_table([f for q in resident for f in q.frames])
 
             # ---------------- probe phase ----------------
             # one output buffer per spilled partition, reserved above and
@@ -437,30 +450,42 @@ class DynamicHybridHashJoin:
 
     # -- the join kernel -------------------------------------------------
     @staticmethod
-    def _hash_table(records: Iterable[Record]) -> Dict[Any, List[Any]]:
-        """Key → build payloads of ``records``, in input order: the hash
-        table of every join the operator runs (resident partitions, the
-        §8.3 shortcut and each §8.1 block)."""
-        table: Dict[Any, List[Any]] = {}
-        get = table.get
-        for key, _size, payload in records:
-            payloads = get(key)
-            if payloads is None:
-                table[key] = [payload]
-            else:
-                payloads.append(payload)
+    def _hash_table(runs: List[List[Record]]) -> Dict[Any, Any]:
+        """Key → build payload of the records of ``runs``, taken in order:
+        the hash table of every join the operator runs (the resident
+        partitions' frames, the §8.3 build batches, each §8.1 block).
+
+        A key that occurs once maps to its payload itself; a key that
+        repeats maps to a :class:`_Many` of its payloads in input order.
+        """
+        flat = chain.from_iterable
+        table = dict(zip(map(_key, flat(runs)), map(_payload, flat(runs))))
+        if len(table) < sum(map(len, runs)):
+            repeated = {key for key, n in Counter(map(_key, flat(runs))).items() if n > 1}
+            for key in repeated:
+                table[key] = _Many()
+            for key, _size, payload in compress(
+                    flat(runs), map(repeated.__contains__, map(_key, flat(runs)))):
+                table[key].append(payload)
         return table
 
     @staticmethod
-    def _probe_table(table: Dict[Any, List[Any]], probe: List[Record],
+    def _probe_table(table: Dict[Any, Any], probe: List[Record],
                      swapped: bool) -> Iterator[Pair]:
         """The pairs of ``probe`` joined against ``table``, oriented for
         ``swapped``, made lazily as they are taken. Every probe of the
         operator goes through here."""
         get = table.get
-        if swapped:
-            return ((payload, b) for key, _size, payload in probe for b in get(key, ()))
-        return ((b, payload) for key, _size, payload in probe for b in get(key, ()))
+        for key, _size, payload in probe:
+            b = get(key, _MISS)
+            if b is _MISS:
+                continue
+            if type(b) is _Many:
+                yield from zip(repeat(payload), b) if swapped else zip(b, repeat(payload))
+            elif swapped:
+                yield payload, b
+            else:
+                yield b, payload
 
     # -- fallback operators ----------------------------------------------
     def _in_memory_join(self, build: Iterator[List[Record]],
@@ -470,9 +495,9 @@ class DynamicHybridHashJoin:
         (it is known to fit the memory budget)."""
         stats = self.stats
         stats.in_memory_rounds += 1
-        records = list(chain.from_iterable(build))
-        stats.records_processed += len(records)
-        table = self._hash_table(records)
+        batches = list(build)
+        stats.records_processed += sum(map(len, batches))
+        table = self._hash_table(batches)
         for batch in probe:
             stats.records_processed += len(batch)
             stats.hash_probes += len(batch)
@@ -497,6 +522,6 @@ class DynamicHybridHashJoin:
         for block in _blocks(chain.from_iterable(build), block_bytes):
             self.stats.records_processed += len(block)
             self.stats.comparisons += probe_records
-            table = self._hash_table(block)
+            table = self._hash_table([block])
             for batch in probe_batches:
                 yield self._probe_table(table, batch, swapped)

@@ -9,9 +9,11 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.join
-from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
+from repro.core.join import BATCH_RECORDS, NAN, DynamicHybridHashJoin, HHJConfig
 from repro.insertion import NAMES as INSERTIONS
 from repro.victim import NAMES as VICTIMS
 
@@ -152,7 +154,9 @@ class TestEdgeCases:
         pairs = DynamicHybridHashJoin(HHJConfig(
             memory_frames=64, frame_bytes=FRAME, num_partitions=4,
             min_partitions=4)).run_collect(build, probe)
-        assert len(pairs) == 600
+        # probe-major, and within a probe record the build payloads in
+        # input order
+        assert pairs == [(f"b{i}", f"p{j}") for j in range(30) for i in range(20)]
 
     def test_key_type_normalization(self):
         import numpy as np
@@ -490,3 +494,51 @@ class TestSplitCalls:
         # and only a side's last batch may be short
         routed = sum(k for k, _ in calls)
         assert len(calls) <= 2 * stats.rounds + math.ceil(routed / BATCH_RECORDS)
+
+
+class TestHashKernel:
+    """``_hash_table`` over a list of record runs, and ``_probe_table``
+    against it: the join kernel of every round, §8.3 and §8.1 block."""
+
+    hash_table = staticmethod(DynamicHybridHashJoin._hash_table)
+    probe_table = staticmethod(DynamicHybridHashJoin._probe_table)
+
+    def test_unique_keys_map_to_the_payload_itself(self):
+        runs = [[(1, 10, "a"), (2, 10, ("b",))], [(3, 10, ["c"]), (4, 10, None)]]
+        table = self.hash_table(runs)
+        assert len(table) == 4
+        assert all(table[key] is payload for run in runs for key, _, payload in run)
+
+    @staticmethod
+    def nested_loop(runs, probe, swapped):
+        """The ordered reference: probe-major, build records in run order,
+        keys equal as a dict lookup finds them (identity first)."""
+        build = [rec for run in runs for rec in run]
+        out = []
+        for pk, _, pp in probe:
+            for bk, _, bp in build:
+                if bk is pk or bk == pk:
+                    out.append((pp, bp) if swapped else (bp, pp))
+        return out
+
+    keys = st.one_of(st.integers(-3, 3), st.just(NAN), st.just(True),
+                     st.just(False), st.just(1.5), st.sampled_from(["k", "1"]))
+    payloads = st.one_of(st.none(), st.integers(),
+                         st.tuples(st.integers(), st.text(max_size=2)),
+                         st.lists(st.integers(), max_size=2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(keys, payloads), max_size=30),
+           st.lists(st.tuples(keys, payloads), max_size=20),
+           st.lists(st.integers(0, 30), max_size=4),
+           st.booleans())
+    def test_probe_matches_an_ordered_nested_loop(self, build, probe, cuts, swapped):
+        build = [(k, 10, p) for k, p in build]
+        probe = [(k, 10, p) for k, p in probe]
+        bounds = [0, *sorted(min(c, len(build)) for c in cuts), len(build)]
+        runs = [build[a:b] for a, b in zip(bounds, bounds[1:])]
+        pairs = list(self.probe_table(self.hash_table(runs), probe, swapped))
+        ref = self.nested_loop(runs, probe, swapped)
+        # each payload, a list one included, is joined as itself
+        assert len(pairs) == len(ref)
+        assert all(a is c and b is d for (a, b), (c, d) in zip(pairs, ref))
