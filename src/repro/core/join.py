@@ -37,10 +37,9 @@ the storage model replays into device times.
 """
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -461,12 +460,17 @@ class DynamicHybridHashJoin:
         flat = chain.from_iterable
         table = dict(zip(map(_key, flat(runs)), map(_payload, flat(runs))))
         if len(table) < sum(map(len, runs)):
-            repeated = {key for key, n in Counter(map(_key, flat(runs))).items() if n > 1}
-            for key in repeated:
-                table[key] = _Many()
-            for key, _size, payload in compress(
-                    flat(runs), map(repeated.__contains__, map(_key, flat(runs)))):
-                table[key].append(payload)
+            # some key repeats: rebuild, gathering each repeat's payloads
+            table = {}
+            get = table.get
+            for key, _size, payload in flat(runs):
+                b = get(key, _MISS)
+                if b is _MISS:
+                    table[key] = payload
+                elif type(b) is _Many:
+                    b.append(payload)
+                else:
+                    table[key] = _Many((b, payload))
         return table
 
     @staticmethod

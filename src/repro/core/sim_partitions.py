@@ -38,7 +38,14 @@ class RoundResult:
 
 
 def simulate_build_round(build_frames: int, memory_frames: int, p: int) -> RoundResult:
-    """One build phase at frame granularity under NG-NS + largest-size."""
+    """One build phase at frame granularity under NG-NS + largest-size.
+
+    Frames arrive round-robin, so between two spills a cycle of ``p``
+    frames gives each partition one frame. At a cycle boundary the round
+    takes as many whole cycles in one step as fit the free memory without
+    a spill; partial cycles and spills go frame by frame. The result is
+    the frame-by-frame one exactly, at O(p²) cost per round.
+    """
     if p < 2:
         raise ValueError("need at least 2 partitions")
     if p > memory_frames:
@@ -48,8 +55,27 @@ def simulate_build_round(build_frames: int, memory_frames: int, p: int) -> Round
     written = [0] * p            # frames written to disk per partition
     spilled = [False] * p
     allocated = 0                # data frames + output buffers
-    for i in range(build_frames):
+    i = 0
+    while i < build_frames:
         pid = i % p
+        if pid == 0:
+            # k whole cycles: every resident partition gains k frames
+            # before memory runs out, every spilled one writes k
+            resident = p - sum(spilled)
+            k = (build_frames - i) // p
+            if resident:
+                k = min(k, (memory_frames - allocated) // resident)
+            if k > 0:
+                for q in range(p):
+                    routed[q] += k
+                    if spilled[q]:
+                        written[q] += k
+                    else:
+                        sizes[q] += k
+                allocated += k * resident
+                i += k * p
+                continue
+        i += 1
         routed[pid] += 1
         if spilled[pid]:
             written[pid] += 1    # streams through the output buffer

@@ -16,15 +16,14 @@ produce device response times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal
+from typing import List, Literal, NamedTuple
 
 from ..frames.frame import DEFAULT_FRAME_BYTES
 
 Phase = Literal["build", "probe"]
 
 
-@dataclass(frozen=True)
-class WriteOp:
+class WriteOp(NamedTuple):
     """One disk write: ``n_frames`` contiguous frames of one partition."""
 
     n_frames: int

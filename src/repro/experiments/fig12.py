@@ -44,7 +44,7 @@ def fig12(memory_frames: int = 128,
                             victim="largest-size",
                             num_partitions=min(20, memory_frames))
             op = DynamicHybridHashJoin(cfg)
-            out_pairs = sum(1 for _ in op.run(build, probe))
+            out_pairs = len(op.run_collect(build, probe))
             s = op.stats
             cached = elevator_coalesce(s.write_trace, cache_frames)
             # the paper's Fig 12 write-mix panels cover the build phase

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -93,7 +94,7 @@ class MemorySpillFile(SpillFile):
         """Append one frame's worth of records; accounts one frame of I/O."""
         self._records.extend(records)
         self.frames_written += 1
-        self.bytes_written += sum(r[1] for r in records)
+        self.bytes_written += sum(map(itemgetter(1), records))
 
     def read_all(self) -> Iterator[Record]:
         """Replay every spilled record in write order."""
@@ -156,7 +157,7 @@ class DiskSpillFile(SpillFile):
         self._extents.append((tmp.end, len(data)))
         tmp.end += len(data)
         self.frames_written += 1
-        self.bytes_written += sum(r[1] for r in records)
+        self.bytes_written += sum(map(itemgetter(1), records))
 
     def read_all(self) -> Iterator[Record]:
         fd = self._tmp.fd

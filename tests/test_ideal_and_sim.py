@@ -1,12 +1,52 @@
 """Tests for the ideal-spill reference (§7.1) and the Fig 3/4/5 simulator."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ideal import ideal_spill_bytes, ideal_spill_frames, spill_ratio
 from repro.core.sim_partitions import (
+    RoundResult,
     in_memory_after_first_round,
     simulate_build_round,
     simulate_join,
 )
+
+
+def frame_by_frame_round(build_frames: int, memory_frames: int, p: int) -> RoundResult:
+    """The simulator's build round stepped one frame at a time: the
+    oracle that :func:`simulate_build_round`'s cycle steps must equal."""
+    p = min(p, memory_frames)
+    sizes = [0] * p
+    routed = [0] * p
+    written = [0] * p
+    spilled = [False] * p
+    allocated = 0
+    for i in range(build_frames):
+        pid = i % p
+        routed[pid] += 1
+        if spilled[pid]:
+            written[pid] += 1
+            continue
+        while allocated >= memory_frames:
+            victim = max((q for q in range(p) if not spilled[q] and sizes[q] > 0),
+                         key=lambda q: (sizes[q], -q), default=None)
+            if victim is None:
+                break
+            written[victim] += sizes[victim]
+            allocated -= sizes[victim] - 1
+            spilled[victim] = True
+            sizes[victim] = 0
+        if spilled[pid]:
+            written[pid] += 1
+            continue
+        sizes[pid] += 1
+        allocated += 1
+    return RoundResult(
+        resident_frames=sum(sizes[q] for q in range(p) if not spilled[q]),
+        build_spilled=sum(written),
+        spilled_parts=[routed[q] for q in range(p) if spilled[q]],
+        num_spilled=sum(spilled),
+    )
 
 
 class TestIdealSpill:
@@ -74,6 +114,27 @@ class TestSimulateBuildRound:
     def test_partitions_clamped_to_memory(self):
         res = simulate_build_round(300, 16, 64)  # P > M gets clamped
         assert res.num_spilled <= 16
+
+
+class TestCycleStepsMatchFrameSteps:
+    """Whole-cycle steps give the frame-by-frame round field for field,
+    including P > memory (clamped) and partial last cycles."""
+
+    BUILDS = [*range(301), 512, 1000, 2048, 4096, 5000, 8191, 8192]
+    PS = [2, 3, 4, 5, 7, 8, 16, 17, 20, 31, 32, 33, 64, 127, 128]
+
+    @pytest.mark.parametrize("memory", [3, 4, 7, 16, 32, 128])
+    def test_grid(self, memory):
+        for p in self.PS:
+            for b in self.BUILDS:
+                assert simulate_build_round(b, memory, p) == \
+                    frame_by_frame_round(b, memory, p), (b, memory, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3000), st.integers(3, 200), st.integers(2, 256))
+    def test_random(self, build, memory, p):
+        assert simulate_build_round(build, memory, p) == \
+            frame_by_frame_round(build, memory, p)
 
 
 class TestSimulateJoin:

@@ -40,6 +40,28 @@ class TestDeviceProfiles:
         assert hdd_penalty > 50 * ssd_penalty
 
 
+class TestWriteOp:
+    def test_fields_in_order(self):
+        op = WriteOp(3, "probe", 7, 2)
+        assert WriteOp._fields == ("n_frames", "phase", "pid", "round_no")
+        assert (op.n_frames, op.phase, op.pid, op.round_no) == (3, "probe", 7, 2)
+        assert op == WriteOp(n_frames=3, phase="probe", pid=7, round_no=2)
+
+    def test_sequential_is_multi_frame(self):
+        assert WriteOp(2, "build", 0, 0).sequential
+        assert not WriteOp(1, "build", 0, 0).sequential
+
+    def test_hash_follows_the_fields(self):
+        assert hash(WriteOp(3, "probe", 7, 2)) == hash(WriteOp(3, "probe", 7, 2))
+        assert len({WriteOp(1, "build", 0, 0), WriteOp(1, "build", 0, 0),
+                    WriteOp(1, "probe", 0, 0)}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        op = WriteOp(3, "probe", 7, 2)
+        with pytest.raises(AttributeError):
+            op.n_frames = 4
+
+
 class TestTraceTiming:
     def test_empty_trace_is_free(self):
         assert write_trace_time([], FB, HDD) == 0.0
