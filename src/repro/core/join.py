@@ -51,7 +51,6 @@ from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
 from ..insertion.policies import InsertionPolicy
 from ..insertion.policies import make_policy as make_insertion
-from ..victim.policies import VictimContext
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
@@ -169,8 +168,9 @@ class DynamicHybridHashJoin:
     def __init__(self, cfg: HHJConfig) -> None:
         self.cfg = cfg
         self.stats = JoinStats(frame_bytes=cfg.frame_bytes)
-        self.growth: GrowthPolicy = make_growth(cfg.growth, make_victim(cfg.victim),
-                                                self.stats)
+        #: one §7 policy for the whole run, handed to each round's growth
+        #: policy, so a stateful policy's stream spans rounds
+        self.victim = make_victim(cfg.victim)
 
     # -- factories -------------------------------------------------------
     def _spill_files(self, phase: Phase, level: int) -> SpillFiles:
@@ -243,21 +243,23 @@ class DynamicHybridHashJoin:
         write trace covers the whole build phase, then returns the
         partitions for inspection.
         """
-        partitions, _pool, _frames = self._build(self._admit(build), 0, None)
-        self._collect_search_stats(partitions)
-        return partitions
+        growth, _frames = self._build(self._admit(build), 0, None)
+        self._collect_search_stats(growth.partitions)
+        return growth.partitions
 
     # -- one round -------------------------------------------------------
     def _build(self, build: Iterator[List[Record]], level: int,
-               build_frames: Optional[int]) -> Tuple[List[Partition], BufferPool, int]:
+               build_frames: Optional[int]) -> Tuple[GrowthPolicy, int]:
         """One round's build phase: choose P, partition the batches of
         ``build`` within the frame budget, flush the spilled partitions'
         tails.
 
-        Returns the partitions, the pool holding their frames and the
-        build input's size in frames. Round 0 records its resident frames
-        and bytes in the stats (the paper's end-of-build frame fullness).
-        On an exception the partitions are closed.
+        Returns the round's growth policy, which holds its partitions and
+        the pool funding their frames, and the build input's size in
+        frames. Round 0 records its resident frames and bytes in the
+        stats (the paper's end-of-build frame fullness). On an exception
+        the partitions' search counts are collected and the partitions
+        closed.
         """
         cfg = self.cfg
         if build_frames is not None:
@@ -266,19 +268,10 @@ class DynamicHybridHashJoin:
         else:
             p = cfg.num_partitions or robust_num_partitions(cfg.memory_frames)
 
-        pool = BufferPool(cfg.memory_frames)
-        partitions = self._new_partitions(p, pool, self._spill_files("build", level))
-
-        def make_room(part: Partition) -> bool:
-            """Spill for a record of resident ``part``; False once ``part``
-            itself has spilled."""
-            if self._free_memory(partitions, part) is None:
-                raise MemoryError(
-                    "cannot free memory: all partitions spilled and pool full "
-                    f"(budget={pool.budget}, P={len(partitions)})"
-                )
-            return not part.spilled
-
+        partitions = self._new_partitions(p, BufferPool(cfg.memory_frames),
+                                          self._spill_files("build", level))
+        growth = make_growth(cfg.growth, self.victim, self.stats, partitions)
+        make_room, insert_spilled = growth.make_room, growth.insert_spilled
         try:
             build_bytes = 0
             for batch in build:
@@ -288,19 +281,20 @@ class DynamicHybridHashJoin:
                 for rec, pid in zip(batch, pids):
                     part = partitions[pid]
                     if part.spilled or not part.place(rec, make_room):
-                        self._insert_spilled(rec, part, partitions)
+                        insert_spilled(part, rec)
             # every spilled partition's leftover frames go to disk
             for q in partitions:
                 if q.spilled:
-                    self.growth.flush_spilled(q, keep_buffer=False)
+                    growth.flush_spilled(q, keep_buffer=False)
         except BaseException:
+            self._collect_search_stats(partitions)
             for q in partitions:
                 q.close()
             raise
         if level == 0:
             self.stats.resident_frames = sum(q.num_frames for q in partitions)
             self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
-        return partitions, pool, max(1, -(-build_bytes // cfg.frame_bytes))
+        return growth, max(1, -(-build_bytes // cfg.frame_bytes))
 
     def _round(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],
                level: int, build_frames: Optional[int],
@@ -324,7 +318,8 @@ class DynamicHybridHashJoin:
         (§2.3) on each spilled pair that has records on both sides."""
         cfg, stats = self.cfg, self.stats
         stats.rounds += 1
-        partitions, pool, this_build_frames = self._build(build, level, build_frames)
+        growth, this_build_frames = self._build(build, level, build_frames)
+        partitions, pool = growth.partitions, growth.pool
         p = len(partitions)
         probe_parts: Dict[int, Partition] = {}
         try:
@@ -332,7 +327,7 @@ class DynamicHybridHashJoin:
             self._reload_spilled(partitions, pool)
 
             # Make room for one probe output buffer per spilled partition.
-            self._reserve_probe_buffers(partitions, pool)
+            growth.reserve_probe_buffers()
 
             resident = [q for q in partitions if not q.spilled]
             spilled = [q for q in partitions if q.spilled]
@@ -384,34 +379,16 @@ class DynamicHybridHashJoin:
                                            child_bf, this_build_frames, child_swapped)
                 q.close()
                 pp.close()
-
-            self._collect_search_stats(partitions)
         finally:
             # every exit path, early generator close and exceptions included
+            self._collect_search_stats(partitions)
             for q in [*partitions, *probe_parts.values()]:
                 q.close()
 
-    # -- memory pressure -------------------------------------------------
-    def _insert_spilled(self, rec: Record, part: Partition,
-                        partitions: List[Partition]) -> None:
-        """Insert one build record into spilled ``part``."""
-        while not self.growth.insert_into_spilled(part, rec):
-            if self._free_memory(partitions, part) is not None:
-                continue
-            if part.num_frames == 0:
-                raise MemoryError("spilled-partition insert cannot make progress")
-            # last resort: recycle our own (full) buffer via a flush
-            self.growth.flush_spilled(part)
-
-    def _free_memory(self, partitions: List[Partition],
-                     part: Partition) -> Optional[Partition]:
-        """Let the growth policy free frames for a record of ``part``."""
-        ctx = VictimContext(part.pid, sum(q.spilled for q in partitions),
-                            len(partitions))
-        return self.growth.free_memory(partitions, ctx)
-
+    # -- reload and search counts ----------------------------------------
     def _reload_spilled(self, partitions: List[Partition], pool: BufferPool) -> None:
-        """§8.5: pull back spilled partitions that now fit in free memory."""
+        """§8.5: pull back spilled partitions that now fit in free memory,
+        smallest spill file first."""
         reloadable = sorted(
             (q for q in partitions
              if q.spilled and q.spill_file and q.spill_file.frames_written > 0),
@@ -419,33 +396,14 @@ class DynamicHybridHashJoin:
         )
         for q in reloadable:
             need = q.spill_file.frames_written
-            if need * TABLE1_FUDGE > pool.free:
-                continue
-            self.stats.frames_reloaded += need
-            if all(q.place(rec) for rec in q.spill_file.replay()):
-                q.spilled = False
-                q.spill_file.close()
-                q.spill_file = None
-            else:
-                # does not fit after all: the file still holds every record
-                q.drop_frames()
-
-    def _reserve_probe_buffers(self, partitions: List[Partition],
-                               pool: BufferPool) -> None:
-        """Spill more residents until each spilled partition can hold one
-        probe output buffer within the budget."""
-        while (n_spilled := sum(q.spilled for q in partitions)) + pool.allocated > pool.budget:
-            # spilled partitions hold no frames here, so G-S steals nothing
-            target = self.growth.free_memory(
-                partitions, VictimContext(-1, n_spilled, len(partitions)))
-            if target is None:
-                raise MemoryError("cannot reserve probe buffers: no resident victims")
-            self.growth.flush_spilled(target, keep_buffer=False)
+            if need * TABLE1_FUDGE <= pool.free:
+                self.stats.frames_reloaded += need
+                q.reload()
 
     def _collect_search_stats(self, partitions: List[Partition]) -> None:
-        for q in partitions:
-            self.stats.frames_searched += q.insertion.frames_searched
-            q.insertion.reset_stats()
+        """Add the round's insertion searches to the stats; called once
+        per round, on every exit path."""
+        self.stats.frames_searched += sum(q.insertion.frames_searched for q in partitions)
 
     # -- the join kernel -------------------------------------------------
     @staticmethod

@@ -15,6 +15,7 @@ the record level where the paper defines it.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Tuple
 
 import numpy as np
@@ -91,10 +92,8 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
     p = (probe.where(F.col(probe_key).isNotNull())
               .withColumn(_PART_COL, F.pmod(F.xxhash64(F.col(probe_key)), F.lit(n))))
 
-    # capture plain config values; HHJConfig is a simple dataclass and
-    # pickles fine, but force disk spill inside executors regardless
-    cfg_dict = dict(cfg.__dict__)
-    cfg_dict["use_disk_spill"] = True
+    # executors always spill to real temp files
+    cfg = dataclasses.replace(cfg, use_disk_spill=True)
 
     def records(pdf: pd.DataFrame, key: str):
         """(key, size, row position) records of one side: the operator
@@ -111,7 +110,7 @@ def dynamic_hhj_join(build: DataFrame, probe: DataFrame,
             return pd.DataFrame({c: pd.Series(dtype="object") for c in bnames + pnames})
         bpdf = bpdf.drop(columns=[_PART_COL])
         ppdf = ppdf.drop(columns=[_PART_COL])
-        op = DynamicHybridHashJoin(HHJConfig(**cfg_dict))
+        op = DynamicHybridHashJoin(cfg)
         pairs = op.run_collect(records(bpdf, build_key), records(ppdf, probe_key))
         rows = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         return pd.DataFrame({**take(bpdf, bnames, rows[:, 0]),

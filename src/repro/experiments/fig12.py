@@ -41,8 +41,7 @@ def fig12(memory_frames: int = 128,
         input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
         for growth in ("g-s", "ng-ns"):
             cfg = HHJConfig(memory_frames=memory_frames, growth=growth,
-                            victim="largest-size",
-                            num_partitions=min(20, memory_frames))
+                            victim="largest-size")
             op = DynamicHybridHashJoin(cfg)
             out_pairs = len(op.run_collect(build, probe))
             s = op.stats

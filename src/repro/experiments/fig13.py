@@ -42,9 +42,7 @@ def victim_experiment(dataset: str, pct_large: float, skew: bool,
                                         seed=seed)
         build_bytes = sum(r[1] for r in build)
         for pol in policies:
-            cfg = HHJConfig(memory_frames=memory_frames,
-                            num_partitions=min(20, memory_frames),
-                            victim=pol, growth="ng-ns")
+            cfg = HHJConfig(memory_frames=memory_frames, victim=pol, growth="ng-ns")
             op = DynamicHybridHashJoin(cfg)
             op.build_only(build)
             s = op.stats

@@ -12,19 +12,16 @@ from typing import Sequence
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
-from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..insertion.policies import AppendN, FirstFitPct, RandomPct
 from ..synth_data import wisconsin_record_stream
+from .runner import ample_memory_frames
 
 PCTS_LARGE = (0.9, 0.5, 0.1)
 
 
 def _run_insertion(records, factory):
     """Build phase with ample memory; returns (fullness, frames_searched)."""
-    total_bytes = sum(r[1] for r in records)
-    # twice the build's frames, plus a frame per partition and 8 spare
-    ample = 2 * (total_bytes // DEFAULT_FRAME_BYTES + 1) + 20 + 8
-    cfg = HHJConfig(memory_frames=ample, num_partitions=20, insertion=factory)
+    cfg = HHJConfig(memory_frames=ample_memory_frames(records), insertion=factory)
     op = DynamicHybridHashJoin(cfg)
     op.build_only(records)
     assert op.stats.partitions_spilled == 0, "sweep must not spill"

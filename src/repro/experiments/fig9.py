@@ -14,10 +14,10 @@ from typing import List
 import pandas as pd
 
 from ..core.join import DynamicHybridHashJoin, HHJConfig
-from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..insertion.policies import NAMES
 from ..storage.device import DEVICES, response_time
 from ..synth_data import wisconsin_record_stream
+from .runner import ample_memory_frames
 
 ALGORITHMS = NAMES
 
@@ -27,14 +27,13 @@ def insertion_runs(build, probe) -> List[dict]:
     algorithm: frame fullness, frames searched, output pairs and the
     modeled response time on each device."""
     input_bytes = sum(r[1] for r in build) + sum(r[1] for r in probe)
-    total_frames = sum(r[1] for r in build) // DEFAULT_FRAME_BYTES + 1
-    ample = int(2 * total_frames + 64)
+    ample = ample_memory_frames(build)
     rows = []
     for alg in ALGORITHMS:
-        cfg = HHJConfig(memory_frames=ample, num_partitions=20, insertion=alg)
-        op = DynamicHybridHashJoin(cfg)
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=ample, insertion=alg))
         # only the number of output pairs is a metric, not the pairs
         n_out = len(op.run_collect(build, probe))
+        assert op.stats.partitions_spilled == 0, "insertion runs must not spill"
         row = {"algorithm": alg, "avg_frame_fullness": op.stats.avg_frame_fullness,
                "frames_searched": op.stats.frames_searched,
                "out_pairs": n_out}

@@ -21,6 +21,12 @@ def show(title: str, df: pd.DataFrame) -> None:
         print(df.to_string(index=False))
 
 
+def ample_memory_frames(build) -> int:
+    """A frame budget in which no join with build input ``build`` spills:
+    twice the build's frames plus 64 (a frame per partition and spares)."""
+    return 2 * (sum(r[1] for r in build) // DEFAULT_FRAME_BYTES + 1) + 64
+
+
 def records_for_ratio(ratio: float, memory_frames: int,
                       avg_record_bytes: float) -> int:
     """How many records make the build input ``ratio`` × the memory size

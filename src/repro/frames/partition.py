@@ -17,8 +17,10 @@ alone. :meth:`place`,
 A partition is made with the operator's
 :class:`~repro.frames.pool.BufferPool`, which funds its frames, and its
 side's spill-file factory. It places its records within the pool, writes
-its own frames out and tells its insertion policy when they are cut;
-which partition spills, and when, is the growth policy's decision.
+its own frames out and tells its insertion policy when they are cut.
+Only :meth:`spill`, :meth:`reload` and :meth:`close` change its spill
+state; which partition spills is the growth policy's decision, which
+reloads the operator's.
 """
 from __future__ import annotations
 
@@ -145,6 +147,26 @@ class Partition:
         self.pool.release(n)
         self.insertion.notify_spilled()
         return n
+
+    def spill(self) -> int:
+        """First spill: every frame goes out as one write, one cleared
+        frame stays as the output buffer. Returns frames freed."""
+        assert not self.spilled, f"partition {self.pid} already spilled"
+        freed = self.write_out(keep_buffer=True)
+        self.spilled = True
+        return freed
+
+    def reload(self) -> bool:
+        """§8.5: place the spill file's records back in memory. True when
+        all fit (the partition is resident, its file gone); else False,
+        its frames dropped and the file, which holds every record, kept."""
+        if all(self.place(rec) for rec in self.spill_file.replay()):
+            self.spilled = False
+            self.spill_file.close()
+            self.spill_file = None
+            return True
+        self.drop_frames()
+        return False
 
     def drop_frames(self) -> None:
         """Release every frame without writing it: its records are

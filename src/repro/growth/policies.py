@@ -16,10 +16,14 @@ its in-memory frames go to disk in one chunk, and the partition keeps
 one cleared frame as its output buffer. That matches the paper's §6.1
 analysis where both policies write (M−x)/(P−x) frames sequentially on
 first spill and differ only in how the remainder is written.
+
+A growth policy belongs to one round, whose build partitions it is made
+with, and runs that round's memory pressure: ``make_room``,
+``insert_spilled`` and ``reserve_probe_buffers``.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 from ..frames.partition import Partition
 from ..frames.spillfile import Record
@@ -30,62 +34,82 @@ if TYPE_CHECKING:
 
 
 class GrowthPolicy:
-    """Base growth policy: shared initial-spill mechanics.
+    """Base growth policy: the round's memory-pressure loops and the
+    shared initial-spill mechanics.
 
-    Made with the operator's §7 :class:`VictimPolicy` and its stats. The
-    only caller of the victim policy: every resident partition the
-    operator spills is picked in :meth:`_spill_resident`.
+    Made with the operator's §7 :class:`VictimPolicy` (one per run, so a
+    stateful policy's stream spans rounds), its stats and the round's
+    build partitions. The only caller of the victim policy: every
+    resident partition the operator spills is picked in
+    :meth:`_spill_resident`. A policy supplies two hooks:
+    ``insert_into_spilled(part, rec)``, False under memory pressure (free
+    memory, then retry), and ``free_memory(incoming_pid)``, the partition
+    that spilled or flushed for a record of ``incoming_pid`` (−1: for the
+    probe buffers), or None when it may take no frame.
     """
 
-    def __init__(self, victim: VictimPolicy, stats: "JoinStats") -> None:
+    def __init__(self, victim: VictimPolicy, stats: "JoinStats",
+                 partitions: List[Partition]) -> None:
         self.victim = victim
         self.stats = stats
+        self.partitions = partitions
+        #: the pool that funds every partition's frames
+        self.pool = partitions[0].pool
 
     def initial_spill(self, part: Partition) -> int:
-        """Spill a memory-resident partition for the first time.
-
-        Writes all its frames as one sequential chunk, keeps one cleared
-        output-buffer frame, releases the rest. Returns frames freed. An
-        empty partition allocates its buffer lazily on first insert.
-        """
-        assert not part.spilled, f"partition {part.pid} already spilled"
-        freed = part.write_out(keep_buffer=True)
-        part.spilled = True
+        """Spill a memory-resident partition for the first time
+        (:meth:`Partition.spill`). Returns frames freed."""
+        freed = part.spill()
         self.stats.partitions_spilled += 1
         return freed
 
     def flush_spilled(self, part: Partition, keep_buffer: bool = True) -> int:
-        """Flush a spilled partition's current frames to its file.
-
-        One write op covering all its frames (sequential iff >1 frame).
-        Returns frames freed.
-        """
+        """Flush a spilled partition's frames to its file as one write op
+        (sequential iff >1 frame). Returns frames freed."""
         return part.write_out(keep_buffer)
 
-    # -- hooks the operator calls ---------------------------------------
-    def insert_into_spilled(self, part: Partition, rec: Record) -> bool:
-        """Insert ``rec`` routed to an already-spilled partition.
-
-        Returns True on success; False means memory pressure (caller must
-        free memory and retry — only possible under G-S).
-        """
-        raise NotImplementedError
-
-    def free_memory(self, partitions: Sequence[Partition],
-                    ctx: VictimContext) -> Optional[Partition]:
-        """Give up memory: returns the partition that spilled or flushed,
-        None when no partition holds a frame this policy may take."""
-        raise NotImplementedError
-
-    def _spill_resident(self, partitions: Sequence[Partition],
-                        ctx: VictimContext) -> Optional[Partition]:
+    def _spill_resident(self, incoming_pid: int) -> Optional[Partition]:
         """Spill the memory-resident partition the §7 victim policy picks."""
-        candidates = [p for p in partitions if not p.spilled and p.num_frames >= 1]
+        parts = self.partitions
+        candidates = [p for p in parts if not p.spilled and p.num_frames >= 1]
         if not candidates:
             return None
+        ctx = VictimContext(incoming_pid, sum(p.spilled for p in parts), len(parts))
         target = self.victim.choose(candidates, ctx)
         self.initial_spill(target)
         return target
+
+    # -- the round's memory pressure -------------------------------------
+    def make_room(self, part: Partition) -> bool:
+        """Spill for a record of resident ``part`` (``Partition.place``'s
+        ``make_room``); False once ``part`` itself has spilled."""
+        if self.free_memory(part.pid) is None:
+            raise MemoryError(
+                "cannot free memory: all partitions spilled and pool full "
+                f"(budget={self.pool.budget}, P={len(self.partitions)})"
+            )
+        return not part.spilled
+
+    def insert_spilled(self, part: Partition, rec: Record) -> None:
+        """Insert one build record into spilled ``part``."""
+        while not self.insert_into_spilled(part, rec):
+            if self.free_memory(part.pid) is not None:
+                continue
+            if part.num_frames == 0:
+                raise MemoryError("spilled-partition insert cannot make progress")
+            # last resort: recycle our own (full) buffer via a flush
+            self.flush_spilled(part)
+
+    def reserve_probe_buffers(self) -> None:
+        """Spill more residents until each spilled partition can hold one
+        probe output buffer within the budget."""
+        pool = self.pool
+        while sum(q.spilled for q in self.partitions) + pool.allocated > pool.budget:
+            # spilled partitions hold no frames here, so G-S steals nothing
+            target = self.free_memory(-1)
+            if target is None:
+                raise MemoryError("cannot reserve probe buffers: no resident victims")
+            self.flush_spilled(target, keep_buffer=False)
 
 
 class NoGrowNoSteal(GrowthPolicy):
@@ -99,8 +123,8 @@ class NoGrowNoSteal(GrowthPolicy):
         part.append_buffered(rec)
         return True
 
-    def free_memory(self, partitions, ctx) -> Optional[Partition]:
-        return self._spill_resident(partitions, ctx)
+    def free_memory(self, incoming_pid) -> Optional[Partition]:
+        return self._spill_resident(incoming_pid)
 
 
 class GrowSteal(GrowthPolicy):
@@ -109,20 +133,21 @@ class GrowSteal(GrowthPolicy):
     def insert_into_spilled(self, part, rec) -> bool:
         return part.place(rec)
 
-    def free_memory(self, partitions, ctx) -> Optional[Partition]:
+    def free_memory(self, incoming_pid) -> Optional[Partition]:
         # Steal: flush the spilled partition holding the most frames.
-        spilled = [p for p in partitions if p.spilled and p.num_frames > 1]
+        spilled = [p for p in self.partitions if p.spilled and p.num_frames > 1]
         if spilled:
             target = max(spilled, key=lambda p: (p.num_frames, -p.pid))
             self.flush_spilled(target)
             return target
-        return self._spill_resident(partitions, ctx)
+        return self._spill_resident(incoming_pid)
 
 
-def make_policy(name: str, victim: VictimPolicy, stats: "JoinStats") -> GrowthPolicy:
-    """Construct a growth policy from its canonical name, with the victim
-    policy it calls and the stats it counts spilled partitions in."""
+def make_policy(name: str, victim: VictimPolicy, stats: "JoinStats",
+                partitions: List[Partition]) -> GrowthPolicy:
+    """Construct one round's growth policy from its canonical name, for
+    the round's build ``partitions``."""
     table = {"ng-ns": NoGrowNoSteal, "g-s": GrowSteal}
     if name not in table:
         raise KeyError(f"unknown growth policy {name!r}; choose from {sorted(table)}")
-    return table[name](victim, stats)
+    return table[name](victim, stats, partitions)

@@ -27,9 +27,6 @@ class InsertionPolicy:
     def __init__(self) -> None:
         self.frames_searched = 0
 
-    def reset_stats(self) -> None:
-        self.frames_searched = 0
-
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         """Index of a frame with ``size`` bytes free, or None to allocate."""
         raise NotImplementedError
@@ -126,11 +123,6 @@ class NextFit(InsertionPolicy):
         super().__init__()
         self._last_index: Optional[int] = None
         self._last_size: Optional[int] = None
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self._last_index = None
-        self._last_size = None
 
     def notify_inserted(self, index: int, size: int) -> None:
         self._last_index = index

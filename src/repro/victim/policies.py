@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from ..frames.partition import Partition
 
@@ -125,12 +125,13 @@ class SmallestSizeSelfVictim(VictimPolicy):
 
 
 class RandomVictim(VictimPolicy):
-    """Spill a uniformly random memory-resident partition."""
+    """Spill a uniformly random memory-resident partition, drawn from a
+    stream of fixed seed 0, so a run repeats."""
 
     name = "random"
 
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
+    def __init__(self) -> None:
+        self._rng = random.Random(0)
 
     def choose(self, candidates, ctx):
         return self._rng.choice(list(candidates))

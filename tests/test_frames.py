@@ -16,7 +16,7 @@ from repro.frames import (
 )
 from repro.growth import GrowSteal
 from repro.insertion import NAMES, NextFit, make_policy
-from repro.victim import VictimContext, make_policy as make_victim
+from repro.victim import make_policy as make_victim
 
 from tests.util import assert_free_list_invariant, spill_files
 
@@ -138,6 +138,42 @@ class TestPartition:
         assert p.in_memory_bytes == 1100
         assert p.in_memory_records == 2
         assert p.fragmentation_bytes == (1000 - 600) + (1000 - 500)
+
+    def test_spill_writes_every_frame_and_keeps_one_buffer(self):
+        pool, stats = BufferPool(4), JoinStats(1000)
+        p = placed(1000, 600, 500, 700, pool=pool, stats=stats)
+        assert p.spill() == 2
+        assert p.spilled and p.frames == [[]] and p.free == [1000]
+        assert pool.allocated == 1
+        assert stats.write_trace == [WriteOp(3, "build", 0, 0)]
+        with pytest.raises(AssertionError, match="already spilled"):
+            p.spill()
+
+    def test_reload_of_records_that_fit_makes_the_partition_resident(self):
+        pool, stats = BufferPool(4), JoinStats(1000)
+        p = placed(1000, 600, 500, 700, pool=pool, stats=stats)
+        p.spill()
+        p.write_out(keep_buffer=False)
+        assert p.reload() is True
+        assert not p.spilled and p.spill_file is None
+        assert [r for f in p.frames for r in f] == [
+            (0, 600, "r0"), (1, 500, "r1"), (2, 700, "r2")]
+        assert pool.allocated == 3 and stats.frames_read == 3
+
+    def test_reload_of_records_that_do_not_fit_keeps_the_spill_file(self):
+        pool, stats = BufferPool(4), JoinStats(1000)
+        p = placed(1000, 600, 500, 700, pool=pool, stats=stats)
+        other = Partition(1, 1000, pool, spill_files(stats))
+        p.spill()
+        p.write_out(keep_buffer=False)
+        assert other.place((9, 100, "o")) and other.place((8, 950, "o"))
+        spill_file = p.spill_file
+        assert p.reload() is False              # 3 frames needed, 2 free
+        assert p.spilled and p.spill_file is spill_file
+        assert p.frames == [] and p.free == [] and pool.allocated == 2
+        assert spill_file.frames_written == 3
+        assert list(spill_file.read_all()) == [
+            (0, 600, "r0"), (1, 500, "r1"), (2, 700, "r2")]
 
     def test_flush_frames_moves_to_spill_file(self):
         pool, stats = BufferPool(4), JoinStats(1000)
@@ -286,14 +322,10 @@ class TestFreeListInvariant:
         parts = [Partition(pid, CAP, pool, spill_files(stats),
                            insertion=make_policy(name, seed=pid))
                  for pid, name in enumerate(policies)]
-        gs = GrowSteal(make_victim("largest-size"), stats)
-
-        def free_memory(part):
-            ctx = VictimContext(part.pid, sum(q.spilled for q in parts), len(parts))
-            return gs.free_memory(parts, ctx)
+        gs = GrowSteal(make_victim("largest-size"), stats, parts)
 
         def make_room(part):
-            return free_memory(part) is not None and not part.spilled
+            return gs.free_memory(part.pid) is not None and not part.spilled
 
         for n, (op, pid, *args) in enumerate(steps):
             part = parts[pid]
@@ -310,7 +342,7 @@ class TestFreeListInvariant:
             elif op == "gs_flush":
                 gs.flush_spilled(part)
             else:
-                free_memory(part)
+                gs.free_memory(pid)
             assert_free_list_invariant(parts, pool)
         for q in parts:
             q.close()

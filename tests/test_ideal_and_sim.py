@@ -1,9 +1,12 @@
 """Tests for the ideal-spill reference (§7.1) and the Fig 3/4/5 simulator."""
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ideal import ideal_spill_bytes, ideal_spill_frames, spill_ratio
+from repro.core.join import DynamicHybridHashJoin, HHJConfig
 from repro.core.sim_partitions import (
     RoundResult,
     in_memory_after_first_round,
@@ -161,6 +164,27 @@ class TestSimulateJoin:
             fixed = sum(simulate_join(size, 128, 4, accurate_later_rounds=False))
             accurate = sum(simulate_join(size, 128, 4, accurate_later_rounds=True))
             assert accurate <= fixed
+
+
+class TestSimulatorAgreesWithTheOperator:
+    """The §4 simulator and the operator model one join, so their total
+    spill must agree where the simulator's round-robin routing is a fair
+    model of hashing: P >= 20 at 1 MB frames and M = 128 (the Fig 4
+    setting). At small P the two part at knife-edge points (EXPERIMENTS.md:
+    P = 8 spills 0.79x the simulator at 2 GB)."""
+
+    @pytest.mark.parametrize("p", [20, 32])
+    @pytest.mark.parametrize("input_mb", [256, 512, 1024, 2048, 4096])
+    def test_total_spill_within_ten_percent(self, p, input_mb):
+        keys = list(range(input_mb))
+        random.Random(0).shuffle(keys)
+        records = [(k, 1, None) for k in keys]       # one record fills a frame
+        op = DynamicHybridHashJoin(HHJConfig(memory_frames=128, frame_bytes=1,
+                                             num_partitions=p, growth="ng-ns",
+                                             victim="largest-size"))
+        assert len(op.run_collect(records, records)) == input_mb
+        simulated = sum(simulate_join(input_mb, 128, p, accurate_later_rounds=True))
+        assert 0.9 <= op.stats.total_frames_spilled / simulated <= 1.1
 
 
 class TestFig5Metric:

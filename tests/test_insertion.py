@@ -51,12 +51,6 @@ class TestCommonBehaviour:
         pol.find_frame(frames, 100)
         assert pol.frames_searched >= 1
 
-    def test_reset_stats(self, name):
-        pol = make_policy(name, seed=0)
-        pol.find_frame(frames_with_free(500), 100)
-        pol.reset_stats()
-        assert pol.frames_searched == 0
-
 
 class TestAppendN:
     def test_checks_only_last_n(self):

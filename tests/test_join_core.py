@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, NAN, DynamicHybridHashJoin, HHJConfig
-from repro.insertion import NAMES as INSERTIONS
+from repro.insertion import NAMES as INSERTIONS, AppendN
 from repro.victim import NAMES as VICTIMS
 
 from tests.util import make_records, make_skewed_records, naive_hash_join
@@ -304,6 +304,46 @@ class TestStatsAccounting:
                 assert q.in_memory_bytes == 0      # nothing left unflushed
         spilled_bytes = sum(q.spill_file.bytes_written for q in parts if q.spill_file)
         assert spilled_bytes == op.stats.build_bytes_spilled
+
+
+class TestSearchStatsOnEveryExit:
+    """``frames_searched`` is the searches the round's insertion policies
+    made, however the run ends: drained, closed early or raising."""
+
+    @staticmethod
+    def recording_op(**cfg_kw):
+        policies = []
+
+        def insertion(pid):
+            policies.append(AppendN(8))
+            return policies[-1]
+
+        cfg_kw.setdefault("frame_bytes", FRAME)
+        return DynamicHybridHashJoin(HHJConfig(insertion=insertion, **cfg_kw)), policies
+
+    @pytest.mark.parametrize("memory_frames", [4096, 12])
+    def test_run_closed_after_its_first_pair(self, memory_frames, tmp_path):
+        build = make_records(20_000, key_range=20_000, lo=100, hi=300, seed=21, tag="b")
+        probe = make_records(20_000, key_range=20_000, lo=100, hi=300, seed=22, tag="p")
+        op, policies = self.recording_op(memory_frames=memory_frames, num_partitions=8,
+                                         use_disk_spill=True, spill_dir=str(tmp_path))
+        pairs = op.run(build, probe)
+        next(pairs)
+        pairs.close()
+        assert op.stats.frames_searched == sum(p.frames_searched for p in policies) > 0
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("entry", ["run_collect", "build_only"])
+    def test_build_that_raises_mid_input(self, entry):
+        def build():
+            yield from make_records(2 * BATCH_RECORDS, lo=100, hi=300, seed=9)
+            raise RuntimeError("input failed")
+
+        op, policies = self.recording_op(memory_frames=12, num_partitions=6)
+        args = (build(), []) if entry == "run_collect" else (build(),)
+        with pytest.raises(RuntimeError, match="input failed"):
+            getattr(op, entry)(*args)
+        assert op.stats.frames_searched == sum(p.frames_searched for p in policies) > 0
 
 
 class TestPinnedCounters:

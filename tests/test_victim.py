@@ -8,7 +8,6 @@ from repro.victim.policies import (
     HalfEmpty,
     LargestSize,
     LowHigh,
-    RandomVictim,
     SmallestRecords,
 )
 
@@ -165,13 +164,14 @@ class TestRecordSizeRatio:
 
 class TestRandomVictim:
     def test_deterministic_with_seed(self):
-        a, b = RandomVictim(seed=7), RandomVictim(seed=7)
+        # every "random" policy draws from the same fixed seed
+        a, b = make_policy("random"), make_policy("random")
         cands = three_parts()
         assert [a.choose(cands, ctx()).pid for _ in range(10)] == \
                [b.choose(cands, ctx()).pid for _ in range(10)]
 
     def test_covers_all_candidates_eventually(self):
-        pol = RandomVictim(seed=3)
+        pol = make_policy("random")
         cands = three_parts()
         seen = {pol.choose(cands, ctx()).pid for _ in range(100)}
         assert seen == {0, 1, 2}
