@@ -210,8 +210,9 @@ class DynamicHybridHashJoin:
                     and set(map(type, map(_key, batch))) == {int}):
                 batch = [(key if type(key) is int else _canonical(key), size, payload)
                          for key, size, payload in batch]
-            if not (0 < min(map(_size, batch)) and max(map(_size, batch)) <= fb):
-                for size in map(_size, batch):
+            sizes = list(map(_size, batch))
+            if not (0 < min(sizes) and max(sizes) <= fb):
+                for size in sizes:
                     if not 0 < size <= fb:
                         raise ValueError(f"record of {size} B is outside (0, {fb}] B: "
                                          "records must be non-empty and fit one frame")

@@ -19,7 +19,7 @@ until the build side fits in memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .partitions import shapiro_num_partitions
 
@@ -116,6 +116,8 @@ def simulate_join(build_frames: int, memory_frames: int, first_round_p: int,
     """
     build_total = 0
     probe_total = 0
+    # a round is pure in (build, memory, P): compute each distinct one once
+    rounds: Dict[Tuple[int, int], RoundResult] = {}
     # (build, probe, p, depth) work-list of join rounds still to run
     stack: List[Tuple[int, int, int, int]] = [
         (build_frames, build_frames, first_round_p, 0)
@@ -126,7 +128,9 @@ def simulate_join(build_frames: int, memory_frames: int, first_round_p: int,
             continue
         if b <= memory_frames or depth >= MAX_DEPTH:
             continue  # in-memory round: no spilling
-        res = simulate_build_round(b, memory_frames, p)
+        res = rounds.get((b, p))
+        if res is None:
+            res = rounds[b, p] = simulate_build_round(b, memory_frames, p)
         build_total += res.build_spilled
         # probe frames are routed uniformly too; spilled partitions' probe
         # data is written to their probe files

@@ -172,8 +172,14 @@ class RandomPct(InsertionPolicy):
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
         if not free:
             return None
-        k = min(len(free), math.ceil(self.pct * len(free)))
-        for i in self.rng.sample(range(len(free)), k):
+        n = len(free)
+        k = min(n, math.ceil(self.pct * n))
+        if k == 1:
+            # one _randbelow(n) draw, as sample(range(n), 1) makes
+            i = self.rng.randrange(n)
+            self.frames_searched += 1
+            return i if free[i] >= size else None
+        for i in self.rng.sample(range(n), k):
             self.frames_searched += 1
             if free[i] >= size:
                 return i

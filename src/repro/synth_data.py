@@ -110,8 +110,7 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
 # integers or drawn from a Normal distribution (μ = cardinality/2,
 # σ = 8208 at cardinality 985 000 ≈ 0.833 % of the cardinality) so that 99 %
 # of the values come from ~5 % of the domain. We generate (key, size)
-# streams for the record-level operator, and Spark DataFrames with real
-# string padding for the executor-level join.
+# streams for the record-level operator.
 # ---------------------------------------------------------------------------
 
 #: Table 2 record-size distributions, in bytes.
@@ -165,30 +164,3 @@ def normal_skew_ints(*, n: int, cardinality: int, seed: int = 0) -> np.ndarray:
     std = max(1.0, NORMAL_SKEW_SIGMA_FRACTION * cardinality)
     vals = np.rint(g.normal(mean, std, n))
     return np.clip(vals, 1, cardinality).astype(np.int64)
-
-
-def wisconsin(spark: SparkSession, *, n: int, dataset: str = "all-small",
-              pct_large: float = 0.0, skew: bool = False,
-              seed: int = 0) -> DataFrame:
-    """Spark DataFrame version of the Wisconsin-lite relation.
-
-    Columns: ``unique1`` (join attribute), ``unique2`` (unique int),
-    ``rec_bytes`` (the record's nominal size) and ``filler`` (a string
-    padding the row to roughly that size, capped to keep SF small).
-    """
-    recs = wisconsin_record_stream(n=n, dataset=dataset, pct_large=pct_large,
-                                   skew=skew, seed=seed)
-    keys = np.array([r[0] for r in recs], dtype=np.int64)
-    sizes = np.array([r[1] for r in recs], dtype=np.int64)
-    g = _rng(seed + 7)
-    pdf = pd.DataFrame(
-        {
-            "unique1": keys,
-            "unique2": g.permutation(np.arange(1, n + 1)),
-            "rec_bytes": sizes,
-            # cap the real padding at 512 B so SF stays test-sized; the
-            # operator uses rec_bytes for memory accounting either way
-            "filler": [("x" * min(512, int(s) // 4)) for s in sizes],
-        }
-    )
-    return spark.createDataFrame(pdf)

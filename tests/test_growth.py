@@ -4,7 +4,7 @@ import pytest
 from repro.core.stats import JoinStats
 from repro.frames import BufferPool, Partition
 from repro.growth import GrowSteal, NoGrowNoSteal, make_policy
-from repro.insertion import AppendN
+from repro.insertion import AppendN, NextFit
 from repro.victim import VictimContext, VictimPolicy, make_policy as make_victim
 
 from tests.util import spill_files
@@ -295,3 +295,47 @@ class TestRoundMemoryPressure:
             q.spill()
         with pytest.raises(MemoryError, match="no resident victims"):
             ng_ns(stats, parts).reserve_probe_buffers()
+
+
+class TestSpilledInsertFastPaths:
+    """A spilled insert that cannot miss runs no hook; one that misses
+    frees memory before it searches again."""
+
+    def test_ngns_insert_into_its_buffer_is_one_append_and_no_hook(self, monkeypatch):
+        pool, stats = BufferPool(4), JoinStats(CAP)
+        part = filled_partition(0, 2, pool, stats)
+        g = ng_ns(stats, [part])
+        g.initial_spill(part)
+        def forbidden(*args):
+            raise AssertionError("a hook was called")
+
+        for hook in ("insert_into_spilled", "free_memory", "flush_spilled",
+                     "initial_spill", "make_room"):
+            monkeypatch.setattr(g, hook, forbidden)
+        appended = []
+        append = part.append_buffered
+        monkeypatch.setattr(part, "append_buffered",
+                            lambda rec: (appended.append(rec), append(rec)))
+        g.insert_spilled(part, (1, 900, "a"))
+        g.insert_spilled(part, (2, 900, "b"))     # the full buffer goes to disk
+        assert appended == [(1, 900, "a"), (2, 900, "b")]
+        assert part.frames == [[(2, 900, "b")]]
+        assert [w.n_frames for w in stats.write_trace] == [2, 1]
+
+    def test_gs_insert_that_needs_a_steal_searches_once_per_attempt(self):
+        pool, stats = BufferPool(4), JoinStats(CAP)
+        part = Partition(0, CAP, pool, spill_files(stats), insertion=NextFit())
+        for i, size in enumerate((800, 800, 850)):
+            assert part.place((i, size, i))
+        part.spilled = True
+        resident = filled_partition(1, 1, pool, stats)
+        g = g_s(stats, [part, resident])
+        searched = part.insertion.frames_searched
+        # Next-Fit scans frames 2, 1, 0 and finds no 820 B free; the pool
+        # is full, so G-S steals part's 3 frames and the retry searches
+        # the one cleared buffer
+        g.insert_spilled(part, (3, 820, 3))
+        assert part.insertion.frames_searched - searched == 3 + 1
+        assert [(w.n_frames, w.sequential, w.pid) for w in stats.write_trace] == [(3, True, 0)]
+        assert part.frames == [[(3, 820, 3)]]
+        assert pool.allocated == 2 and not resident.spilled

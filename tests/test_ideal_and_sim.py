@@ -1,13 +1,17 @@
 """Tests for the ideal-spill reference (§7.1) and the Fig 3/4/5 simulator."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ideal import ideal_spill_bytes, ideal_spill_frames, spill_ratio
+from repro.core import sim_partitions
 from repro.core.join import DynamicHybridHashJoin, HHJConfig
+from repro.core.partitions import shapiro_num_partitions
 from repro.core.sim_partitions import (
+    MAX_DEPTH,
     RoundResult,
     in_memory_after_first_round,
     simulate_build_round,
@@ -50,6 +54,27 @@ def frame_by_frame_round(build_frames: int, memory_frames: int, p: int) -> Round
         spilled_parts=[routed[q] for q in range(p) if spilled[q]],
         num_spilled=sum(spilled),
     )
+
+
+def every_round_join(build_frames: int, memory_frames: int, first_round_p: int,
+                     accurate_later_rounds: bool):
+    """:func:`simulate_join` with every round simulated again, the oracle
+    for its table of rounds: (build_spill, probe_spill) frames and the
+    number of rounds simulated."""
+    def join(b, pr, p, depth):
+        if b <= 0 or pr <= 0 or b <= memory_frames or depth >= MAX_DEPTH:
+            return 0, 0, 0
+        res = simulate_build_round(b, memory_frames, p)
+        probe_share = [round(pr * part / b) for part in res.spilled_parts]
+        build, probe, rounds = res.build_spilled, sum(probe_share), 1
+        for part_b, part_pr in zip(res.spilled_parts, probe_share):
+            next_p = (shapiro_num_partitions(part_b, memory_frames)
+                      if accurate_later_rounds else p)
+            child = join(part_b, part_pr, next_p, depth + 1)
+            build, probe, rounds = build + child[0], probe + child[1], rounds + child[2]
+        return build, probe, rounds
+
+    return join(build_frames, build_frames, first_round_p, 0)
 
 
 class TestIdealSpill:
@@ -164,6 +189,41 @@ class TestSimulateJoin:
             fixed = sum(simulate_join(size, 128, 4, accurate_later_rounds=False))
             accurate = sum(simulate_join(size, 128, 4, accurate_later_rounds=True))
             assert accurate <= fixed
+
+
+@pytest.fixture
+def round_calls(monkeypatch):
+    """The calls :func:`simulate_join` makes to ``simulate_build_round``,
+    counted by their arguments."""
+    calls = Counter()
+
+    def counted(*args):
+        calls[args] += 1
+        return simulate_build_round(*args)
+
+    monkeypatch.setattr(sim_partitions, "simulate_build_round", counted)
+    return calls
+
+
+class TestSimulateJoinRoundTable:
+    @pytest.mark.parametrize("accurate", [False, True])
+    @pytest.mark.parametrize("size", [512, 2048, 8192])
+    @pytest.mark.parametrize("p", [2, 4, 8, 20, 64])
+    def test_each_distinct_round_is_simulated_once(self, round_calls, size, p, accurate):
+        got = simulate_join(size, 128, p, accurate_later_rounds=accurate)
+        build, probe, rounds = every_round_join(size, 128, p, accurate)
+        assert got == (build, probe)
+        assert set(round_calls.values()) == {1}
+        assert sum(round_calls.values()) <= rounds
+
+    def test_rounds_repeat_in_a_deep_join(self, round_calls):
+        simulate_join(8192, 128, 20)
+        assert sum(round_calls.values()) < every_round_join(8192, 128, 20, False)[2]
+
+    def test_a_call_keeps_no_rounds_for_the_next(self, round_calls):
+        simulate_join(2048, 128, 8)
+        simulate_join(2048, 128, 8)
+        assert set(round_calls.values()) == {2}
 
 
 class TestSimulatorAgreesWithTheOperator:

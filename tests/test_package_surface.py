@@ -30,7 +30,7 @@ from repro.insertion import InsertionPolicy
 from repro.insertion import make_policy as make_insertion
 from repro.storage.device import response_time
 from repro.storage.elevator import elevator_coalesce
-from repro.synth_data import wisconsin, wisconsin_record_stream
+from repro.synth_data import wisconsin_record_stream
 
 MODULES = sorted(m.name for m in pkgutil.walk_packages(repro.__path__, "repro."))
 
@@ -113,7 +113,6 @@ SIGNATURES = {
                              "round_no"],
     response_time: ["stats", "device", "input_bytes", "use_fs_cache", "cache_frames"],
     wisconsin_record_stream: ["n", "dataset", "pct_large", "skew", "seed"],
-    wisconsin: ["spark", "n", "dataset", "pct_large", "skew", "seed"],
     InsertionPolicy.notify_inserted: ["self", "index", "size"],
     ideal_spill_frames: ["build_frames", "memory_frames", "fudge"],
     ideal_spill_bytes: ["build_bytes", "memory_frames", "frame_bytes", "fudge"],

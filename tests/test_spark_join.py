@@ -8,6 +8,8 @@ the bar; byte-identical results with DuckDB are.
 from datetime import date, datetime
 from decimal import Decimal
 
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
@@ -26,6 +28,30 @@ def tpch(spark):
         "lineitem": synth_data.lineitem(spark, sf=SF),
         "part": synth_data.part(spark, sf=SF),
     }
+
+
+def wisconsin(spark, *, n, dataset, skew=False, seed):
+    """Spark DataFrame version of the Wisconsin-lite relation.
+
+    Columns: ``unique1`` (join attribute), ``unique2`` (unique int),
+    ``rec_bytes`` (the record's nominal size) and ``filler`` (a string
+    padding the row to roughly that size, capped to keep SF small).
+    """
+    recs = synth_data.wisconsin_record_stream(n=n, dataset=dataset, skew=skew, seed=seed)
+    keys = np.array([r[0] for r in recs], dtype=np.int64)
+    sizes = np.array([r[1] for r in recs], dtype=np.int64)
+    g = np.random.default_rng(seed + 7)
+    pdf = pd.DataFrame(
+        {
+            "unique1": keys,
+            "unique2": g.permutation(np.arange(1, n + 1)),
+            "rec_bytes": sizes,
+            # cap the real padding at 512 B so SF stays test-sized; the
+            # operator uses rec_bytes for memory accounting either way
+            "filler": [("x" * min(512, int(s) // 4)) for s in sizes],
+        }
+    )
+    return spark.createDataFrame(pdf)
 
 
 def tight_cfg(**kw):
@@ -109,8 +135,8 @@ class TestOracleJoins:
 
 class TestWisconsinSpark:
     def test_wisconsin_join_with_size_column(self, spark):
-        b = synth_data.wisconsin(spark, n=1500, dataset="all-small", seed=1)
-        p = synth_data.wisconsin(spark, n=1500, dataset="all-small", seed=2)
+        b = wisconsin(spark, n=1500, dataset="all-small", seed=1)
+        p = wisconsin(spark, n=1500, dataset="all-small", seed=2)
         out = dynamic_hhj_join(b, p, "unique1", "unique1",
                                tight_cfg(memory_frames=32,
                                          frame_bytes=32 * 1024),
@@ -122,9 +148,8 @@ class TestWisconsinSpark:
             b=b, p=p)
 
     def test_skewed_wisconsin_join(self, spark):
-        b = synth_data.wisconsin(spark, n=1200, dataset="all-small", skew=True,
-                                 seed=3)
-        p = synth_data.wisconsin(spark, n=1200, dataset="all-small", seed=4)
+        b = wisconsin(spark, n=1200, dataset="all-small", skew=True, seed=3)
+        p = wisconsin(spark, n=1200, dataset="all-small", seed=4)
         out = dynamic_hhj_join(b, p, "unique1", "unique1",
                                tight_cfg(memory_frames=24,
                                          frame_bytes=32 * 1024),
