@@ -306,6 +306,7 @@ class TestSpilledInsertFastPaths:
         part = filled_partition(0, 2, pool, stats)
         g = ng_ns(stats, [part])
         g.initial_spill(part)
+
         def forbidden(*args):
             raise AssertionError("a hook was called")
 
