@@ -91,24 +91,14 @@ class GrowthPolicy:
         return not part.spilled
 
     def insert_spilled(self, part: Partition, rec: Record) -> None:
-        """Insert one build record into spilled ``part``. A policy may
-        override it with a fast path that tries the insert once and
-        calls :meth:`_insert_after_miss` only when it misses."""
-        if not self.insert_into_spilled(part, rec):
-            self._insert_after_miss(part, rec)
-
-    def _insert_after_miss(self, part: Partition, rec: Record) -> None:
-        """Free memory, then try the insert again, until it succeeds. Each
-        retry follows a spill, a steal or a flush: an insert that missed
-        is never repeated on unchanged frames."""
-        while True:
-            if self.free_memory(part.pid) is None:
-                if part.num_frames == 0:
-                    raise MemoryError("spilled-partition insert cannot make progress")
-                # last resort: recycle our own (full) buffer via a flush
-                self.flush_spilled(part)
-            if self.insert_into_spilled(part, rec):
-                return
+        """Insert one build record into spilled ``part``."""
+        while not self.insert_into_spilled(part, rec):
+            if self.free_memory(part.pid) is not None:
+                continue
+            if part.num_frames == 0:
+                raise MemoryError("spilled-partition insert cannot make progress")
+            # last resort: recycle our own (full) buffer via a flush
+            self.flush_spilled(part)
 
     def reserve_probe_buffers(self) -> None:
         """Spill more residents until each spilled partition can hold one
@@ -134,8 +124,8 @@ class NoGrowNoSteal(GrowthPolicy):
         return True
 
     def insert_spilled(self, part, rec) -> None:
-        # the buffer exists: the insert cannot miss
-        if part.frames:
+        # the one buffer exists: the insert cannot miss
+        if len(part.frames) == 1:
             part.append_buffered(rec)
         else:
             super().insert_spilled(part, rec)
@@ -149,10 +139,6 @@ class GrowSteal(GrowthPolicy):
 
     def insert_into_spilled(self, part, rec) -> bool:
         return part.place(rec)
-
-    def insert_spilled(self, part, rec) -> None:
-        if not part.place(rec):
-            self._insert_after_miss(part, rec)
 
     def free_memory(self, incoming_pid) -> Optional[Partition]:
         # Steal: flush the spilled partition holding the most frames.

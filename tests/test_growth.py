@@ -298,8 +298,8 @@ class TestRoundMemoryPressure:
 
 
 class TestSpilledInsertFastPaths:
-    """A spilled insert that cannot miss runs no hook; one that misses
-    frees memory before it searches again."""
+    """An NG-NS insert into its one buffer runs no hook; a G-S insert
+    that misses frees memory before it searches again."""
 
     def test_ngns_insert_into_its_buffer_is_one_append_and_no_hook(self, monkeypatch):
         pool, stats = BufferPool(4), JoinStats(CAP)
@@ -322,6 +322,13 @@ class TestSpilledInsertFastPaths:
         assert appended == [(1, 900, "a"), (2, 900, "b")]
         assert part.frames == [[(2, 900, "b")]]
         assert [w.n_frames for w in stats.write_trace] == [2, 1]
+
+    def test_ngns_partition_with_two_frames_still_trips_the_invariant(self):
+        pool, stats = BufferPool(4), JoinStats(CAP)
+        part = filled_partition(0, 2, pool, stats)
+        part.spilled = True                   # two frames: not NG-NS's state
+        with pytest.raises(AssertionError, match="one buffer per spilled partition"):
+            ng_ns(stats, [part]).insert_spilled(part, (1, 100, "a"))
 
     def test_gs_insert_that_needs_a_steal_searches_once_per_attempt(self):
         pool, stats = BufferPool(4), JoinStats(CAP)

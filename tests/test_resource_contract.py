@@ -346,112 +346,142 @@ FAULTS = st.none() | st.sampled_from(IO_FAULTS) | st.sampled_from(["build", "pro
 K = 40
 
 
+def tracking_spill_files():
+    """Patches that list every SpillFile made and, for a ``write_frames``
+    call that raises, the (frames, bytes) it wrote before it raised."""
+    files, partial = [], []
+    init, write_frames = SpillFile.__init__, SpillFile.write_frames
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        files.append(self)
+
+    def tracking_write_frames(self, frames):
+        frames0, bytes0 = self.frames_written, self.bytes_written
+        try:
+            write_frames(self, frames)
+        except OSError:
+            partial.append((self.frames_written - frames0, self.bytes_written - bytes0))
+            raise
+
+    patches = [mock.patch.object(SpillFile, "__init__", tracking_init),
+               mock.patch.object(SpillFile, "write_frames", tracking_write_frames)]
+    return patches, files, partial
+
+
+def check_equals_naive_join(cfg_kw, build, probe, expected):
+    """A run without faults: the naive join's pairs, write counts equal to
+    what the spill files wrote, and build_only's end-of-build memory."""
+    patches, files, _ = tracking_spill_files()
+    with tempfile.TemporaryDirectory() as spill_dir, contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        op = DynamicHybridHashJoin(HHJConfig(spill_dir=spill_dir, **cfg_kw))
+        pairs = op.run_collect(build, probe)
+        assert os.listdir(spill_dir) == []
+    assert sorted(pairs) == sorted(expected)
+    s = op.stats
+    for name in ("partitions_spilled", "bnlj_rounds", "role_reversals",
+                 "frames_reloaded", "in_memory_rounds"):
+        event(f"{name} > 0: {getattr(s, name) > 0}")
+    assert sum(f.frames_written for f in files) == s.total_frames_spilled
+    assert sum(f.bytes_written for f in files) == s.total_bytes_spilled
+    # the run records its end-of-build memory where build_only stops
+    built = DynamicHybridHashJoin(HHJConfig(**cfg_kw))
+    parts = built.build_only(build)
+    assert_free_list_invariant(parts)
+    for q in parts:
+        q.close()
+    assert ((built.stats.resident_frames, built.stats.resident_bytes)
+            == (s.resident_frames, s.resident_bytes))
+
+
+def check_fault_cleans_up(cfg_kw, build, probe, expected, fault, k, batch_records):
+    """A run with ``fault`` injected at ``k``: the error propagates as the
+    same object, the spill directory is empty and no descriptor leaks; a
+    fault that never fires leaves the naive join's pairs."""
+    patches, files, partial = tracking_spill_files()
+    fired = []
+    error = None
+    run_build, run_probe = build, probe
+    if fault in IO_FAULTS:
+        cfg_kw = dict(cfg_kw, use_disk_spill=True)
+        # a join opens few temp files
+        call = k % 2 if fault == "mkstemp" else k
+        error = OSError(errno.ENOSPC, f"injected at {fault} call {call}")
+        module = tempfile if fault == "mkstemp" else os
+        patches.append(mock.patch.object(
+            module, fault, failing_call(getattr(module, fault), call, error, fired)))
+    elif fault in ("build", "probe"):
+        records = build if fault == "build" else probe
+        # the k-th of the side's batches, or no fault past its last one
+        batch = k % (-(-len(records) // batch_records) + 1)
+        error = RuntimeError(f"{fault} input failed at batch {batch}")
+
+        def failing():
+            for i, rec in enumerate(records):
+                if i == batch * batch_records:
+                    fired.append(fault)
+                    raise error
+                yield rec
+
+        run_build, run_probe = ((failing(), probe) if fault == "build"
+                                else (build, failing()))
+
+    fds = open_fds()
+    with tempfile.TemporaryDirectory() as spill_dir, contextlib.ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        op = DynamicHybridHashJoin(HHJConfig(spill_dir=spill_dir, **cfg_kw))
+        if fault == "close":
+            gen = op.run(build, probe)
+            pairs = list(itertools.islice(gen, k * len(expected) // K))
+            extra = next(gen, None)
+            if extra is not None:
+                pairs.append(extra)
+                fired.append(fault)
+            gen.close()
+        else:
+            try:
+                pairs = op.run_collect(run_build, run_probe)
+            except type(error) as raised:
+                assert raised is error           # propagated unchanged
+                assert fired
+                pairs = None
+            else:
+                assert not fired
+        assert os.listdir(spill_dir) == []
+    assert open_fds() == fds
+    event(f"fault {fault} fired: {bool(fired)}")
+    s = op.stats
+    # a write that fails midway leaves frames on disk that the stats do
+    # not count; the run raised, so no result rests on them
+    assert len(partial) <= 1
+    if partial:
+        assert pairs is None
+        event(f"write_frames failed midway: {partial[0][0] > 0}")
+    unrecorded_frames, unrecorded_bytes = partial[0] if partial else (0, 0)
+    assert sum(f.frames_written for f in files) - unrecorded_frames == s.total_frames_spilled
+    assert sum(f.bytes_written for f in files) - unrecorded_bytes == s.total_bytes_spilled
+    if fault == "close" and fired:
+        # the pairs handed out before the close are pairs of the join
+        assert not Counter(pairs) - Counter(expected)
+    elif not fired:
+        assert sorted(pairs) == sorted(expected)
+
+
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(join_cases(), st.sampled_from([1, 2, 7, 64, BATCH_RECORDS]),
            FAULTS, st.integers(0, K))
     def test_random_config_equals_naive_join(self, case, batch_records, fault, k):
-        # small input batches put batch boundaries inside every phase
+        # every example runs without faults; a drawn fault adds a second
+        # run of the same case with the fault injected
         cfg_kw, build, probe = case
         expected = naive_hash_join(build, probe)
-        files = []
-        init, write_frames = SpillFile.__init__, SpillFile.write_frames
-        #: (frames, bytes) a failing write_frames call wrote before it raised
-        partial = []
-
-        def tracking_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            files.append(self)
-
-        def tracking_write_frames(self, frames):
-            frames0, bytes0 = self.frames_written, self.bytes_written
-            try:
-                write_frames(self, frames)
-            except OSError:
-                partial.append((self.frames_written - frames0, self.bytes_written - bytes0))
-                raise
-
-        fired = []
-        error = None
-        run_build, run_probe = build, probe
-        patches = [mock.patch.object(SpillFile, "__init__", tracking_init),
-                   mock.patch.object(SpillFile, "write_frames", tracking_write_frames),
-                   mock.patch.object(repro.core.join, "BATCH_RECORDS", batch_records)]
-        if fault in IO_FAULTS:
-            cfg_kw = dict(cfg_kw, use_disk_spill=True)
-            # a join opens few temp files
-            call = k % 2 if fault == "mkstemp" else k
-            error = OSError(errno.ENOSPC, f"injected at {fault} call {call}")
-            module = tempfile if fault == "mkstemp" else os
-            patches.append(mock.patch.object(
-                module, fault, failing_call(getattr(module, fault), call, error, fired)))
-        elif fault in ("build", "probe"):
-            records = build if fault == "build" else probe
-            # the k-th of the side's batches, or no fault past its last one
-            batch = k % (-(-len(records) // batch_records) + 1)
-            error = RuntimeError(f"{fault} input failed at batch {batch}")
-
-            def failing():
-                for i, rec in enumerate(records):
-                    if i == batch * batch_records:
-                        fired.append(fault)
-                        raise error
-                    yield rec
-
-            run_build, run_probe = ((failing(), probe) if fault == "build"
-                                    else (build, failing()))
-
-        fds = open_fds()
-        with tempfile.TemporaryDirectory() as spill_dir, contextlib.ExitStack() as stack:
-            for patch in patches:
-                stack.enter_context(patch)
-            op = DynamicHybridHashJoin(HHJConfig(spill_dir=spill_dir, **cfg_kw))
-            if fault == "close":
-                gen = op.run(build, probe)
-                pairs = list(itertools.islice(gen, k * len(expected) // K))
-                extra = next(gen, None)
-                if extra is not None:
-                    pairs.append(extra)
-                    fired.append(fault)
-                gen.close()
-            elif error is not None:
-                try:
-                    pairs = op.run_collect(run_build, run_probe)
-                except type(error) as raised:
-                    assert raised is error           # propagated unchanged
-                    assert fired
-                    pairs = None
-                else:
-                    assert not fired
-            else:
-                pairs = op.run_collect(build, probe)
-            assert os.listdir(spill_dir) == []
-        assert open_fds() == fds
-        event(f"fault {fault} fired: {bool(fired)}")
-        s = op.stats
-        # a write that fails midway leaves frames on disk that the stats do
-        # not count; the run raised, so no result rests on them
-        assert len(partial) <= 1
-        if partial:
-            assert pairs is None
-            event(f"write_frames failed midway: {partial[0][0] > 0}")
-        unrecorded_frames, unrecorded_bytes = partial[0] if partial else (0, 0)
-        assert sum(f.frames_written for f in files) - unrecorded_frames == s.total_frames_spilled
-        assert sum(f.bytes_written for f in files) - unrecorded_bytes == s.total_bytes_spilled
-        if fired:
-            if fault == "close":
-                # the pairs handed out before the close are pairs of the join
-                assert not Counter(pairs) - Counter(expected)
-            return
-        assert sorted(pairs) == sorted(expected)
-        for name in ("partitions_spilled", "bnlj_rounds", "role_reversals",
-                     "frames_reloaded", "in_memory_rounds"):
-            event(f"{name} > 0: {getattr(s, name) > 0}")
-        # the run records its end-of-build memory where build_only stops
-        built = DynamicHybridHashJoin(HHJConfig(**cfg_kw))
-        parts = built.build_only(build)
-        assert_free_list_invariant(parts)
-        for q in parts:
-            q.close()
-        assert ((built.stats.resident_frames, built.stats.resident_bytes)
-                == (s.resident_frames, s.resident_bytes))
+        # small input batches put batch boundaries inside every phase
+        with mock.patch.object(repro.core.join, "BATCH_RECORDS", batch_records):
+            check_equals_naive_join(cfg_kw, build, probe, expected)
+            if fault is not None:
+                check_fault_cleans_up(cfg_kw, build, probe, expected, fault, k,
+                                      batch_records)
