@@ -47,10 +47,13 @@ from ..frames.frame import DEFAULT_FRAME_BYTES
 from ..frames.partition import Partition, SpillFiles
 from ..frames.pool import BufferPool
 from ..frames.spillfile import DiskSpillFile, MemorySpillFile, Record
+from ..growth.policies import NAMES as GROWTHS
 from ..growth.policies import GrowthPolicy
 from ..growth.policies import make_policy as make_growth
+from ..insertion.policies import NAMES as INSERTIONS
 from ..insertion.policies import InsertionPolicy
 from ..insertion.policies import make_policy as make_insertion
+from ..victim.policies import NAMES as VICTIMS
 from ..victim.policies import make_policy as make_victim
 from .partitions import TABLE1_FUDGE, robust_num_partitions
 from .split import split_partition
@@ -160,6 +163,12 @@ class HHJConfig:
             raise ValueError(
                 f"num_partitions must lie in [2, memory_frames={self.memory_frames}]"
             )
+        # an unknown name fails here, on the driver, not in a Spark worker
+        for kind, name, names in (("insertion", self.insertion, INSERTIONS),
+                                  ("victim", self.victim, VICTIMS),
+                                  ("growth", self.growth, GROWTHS)):
+            if isinstance(name, str) and name not in names:
+                raise KeyError(f"unknown {kind} policy {name!r}; choose from {sorted(names)}")
 
 
 class DynamicHybridHashJoin:
@@ -274,10 +283,8 @@ class DynamicHybridHashJoin:
         growth = make_growth(cfg.growth, self.victim, self.stats, partitions)
         make_room, insert_spilled = growth.make_room, growth.insert_spilled
         try:
-            build_bytes = 0
             for batch in build:
                 self.stats.records_processed += len(batch)
-                build_bytes += sum(map(_size, batch))
                 pids = split_partition(list(map(_key, batch)), p, level)
                 for rec, pid in zip(batch, pids):
                     part = partitions[pid]
@@ -295,6 +302,9 @@ class DynamicHybridHashJoin:
         if level == 0:
             self.stats.resident_frames = sum(q.num_frames for q in partitions)
             self.stats.resident_bytes = sum(q.in_memory_bytes for q in partitions)
+        # every build record is now in a resident frame or its partition's file
+        build_bytes = sum(q.spill_file.bytes_written if q.spilled else q.in_memory_bytes
+                          for q in partitions)
         return growth, max(1, -(-build_bytes // cfg.frame_bytes))
 
     def _round(self, build: Iterator[List[Record]], probe: Iterator[List[Record]],

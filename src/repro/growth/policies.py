@@ -150,11 +150,16 @@ class GrowSteal(GrowthPolicy):
         return self._spill_resident(incoming_pid)
 
 
+_BY_NAME = {"ng-ns": NoGrowNoSteal, "g-s": GrowSteal}
+
+#: the canonical names, in the paper's order
+NAMES = tuple(_BY_NAME)
+
+
 def make_policy(name: str, victim: VictimPolicy, stats: "JoinStats",
                 partitions: List[Partition]) -> GrowthPolicy:
     """Construct one round's growth policy from its canonical name, for
     the round's build ``partitions``."""
-    table = {"ng-ns": NoGrowNoSteal, "g-s": GrowSteal}
-    if name not in table:
-        raise KeyError(f"unknown growth policy {name!r}; choose from {sorted(table)}")
-    return table[name](victim, stats, partitions)
+    if name not in _BY_NAME:
+        raise KeyError(f"unknown growth policy {name!r}; choose from {sorted(_BY_NAME)}")
+    return _BY_NAME[name](victim, stats, partitions)

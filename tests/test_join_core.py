@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, NAN, DynamicHybridHashJoin, HHJConfig
+from repro.growth import make_policy as make_growth
 from repro.insertion import NAMES as INSERTIONS, AppendN
+from repro.insertion import make_policy as make_insertion
 from repro.victim import NAMES as VICTIMS
+from repro.victim import make_policy as make_victim
 
 from tests.util import make_records, make_skewed_records, naive_hash_join
 
@@ -255,6 +258,20 @@ class TestConfigValidation:
         # divided by zero
         with pytest.raises(ValueError, match="frame_bytes must be positive"):
             HHJConfig(memory_frames=8, frame_bytes=frame_bytes)
+
+    @pytest.mark.parametrize("knob,make", [
+        ("insertion", lambda name: make_insertion(name, seed=0)),
+        ("victim", make_victim),
+        ("growth", lambda name: make_growth(name, None, None, [])),
+    ], ids=["insertion", "victim", "growth"])
+    def test_unknown_policy_name_fails_at_construction(self, knob, make):
+        # on the driver, with the policy factory's own error, not later in
+        # the (Spark worker's) operator that first makes the policy
+        with pytest.raises(KeyError) as made:
+            make("grow-only")
+        with pytest.raises(KeyError) as config:
+            HHJConfig(memory_frames=8, **{knob: "grow-only"})
+        assert str(config.value) == str(made.value)
 
     def test_default_partition_policy_is_twenty(self):
         cfg = HHJConfig(memory_frames=256)
