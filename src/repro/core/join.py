@@ -163,7 +163,7 @@ class HHJConfig:
             raise ValueError(
                 f"num_partitions must lie in [2, memory_frames={self.memory_frames}]"
             )
-        # an unknown name fails here, on the driver, not in a Spark worker
+        # an unknown name fails where the config is made, not in a Spark worker
         for kind, name, names in (("insertion", self.insertion, INSERTIONS),
                                   ("victim", self.victim, VICTIMS),
                                   ("growth", self.growth, GROWTHS)):

@@ -265,8 +265,8 @@ class TestConfigValidation:
         ("growth", lambda name: make_growth(name, None, None, [])),
     ], ids=["insertion", "victim", "growth"])
     def test_unknown_policy_name_fails_at_construction(self, knob, make):
-        # on the driver, with the policy factory's own error, not later in
-        # the (Spark worker's) operator that first makes the policy
+        # where the config is made, with the policy factory's own error,
+        # not later in the (Spark worker's) operator that first makes it
         with pytest.raises(KeyError) as made:
             make("grow-only")
         with pytest.raises(KeyError) as config:
