@@ -19,7 +19,8 @@ first spill and differ only in how the remainder is written.
 
 A growth policy belongs to one round, whose build partitions it is made
 with, and runs that round's memory pressure: ``make_room``,
-``insert_spilled`` and ``reserve_probe_buffers``.
+``insert_spilled`` and ``reserve_probe_buffers``. Each policy supplies
+its own ``insert_spilled`` and ``free_memory``; the rest is shared.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ class GrowthPolicy:
     stateful policy's stream spans rounds), its stats and the round's
     build partitions. The only caller of the victim policy: every
     resident partition the operator spills is picked in
-    :meth:`_spill_resident`. A policy supplies two hooks:
-    ``insert_into_spilled(part, rec)``, False under memory pressure (free
-    memory, then retry), and ``free_memory(incoming_pid)``, the partition
+    :meth:`_spill_resident`. A policy supplies two methods:
+    ``insert_spilled(part, rec)``, which puts one build record into a
+    spilled partition, and ``free_memory(incoming_pid)``, the partition
     that spilled or flushed for a record of ``incoming_pid`` (−1: for the
     probe buffers), or None when it may take no frame.
     """
@@ -90,16 +91,6 @@ class GrowthPolicy:
             )
         return not part.spilled
 
-    def insert_spilled(self, part: Partition, rec: Record) -> None:
-        """Insert one build record into spilled ``part``."""
-        while not self.insert_into_spilled(part, rec):
-            if self.free_memory(part.pid) is not None:
-                continue
-            if part.num_frames == 0:
-                raise MemoryError("spilled-partition insert cannot make progress")
-            # last resort: recycle our own (full) buffer via a flush
-            self.flush_spilled(part)
-
     def reserve_probe_buffers(self) -> None:
         """Spill more residents until each spilled partition can hold one
         probe output buffer within the budget."""
@@ -115,32 +106,29 @@ class GrowthPolicy:
 class NoGrowNoSteal(GrowthPolicy):
     """NG-NS: spilled partitions own exactly one output-buffer frame."""
 
-    def insert_into_spilled(self, part, rec) -> bool:
-        n = len(part.frames)
-        if n == 0 and not part.pool.can_allocate(1):
-            return False
-        assert n <= 1, "NG-NS invariant: one buffer per spilled partition"
+    def insert_spilled(self, part: Partition, rec: Record) -> None:
+        # Cannot miss: a victim has a frame, so its spill leaves it one
+        # cleared buffer, and in the build only the end-of-build flush
+        # takes it. Without one, the pool's allocate raises when full.
         part.append_buffered(rec)
-        return True
 
-    def insert_spilled(self, part, rec) -> None:
-        # the one buffer exists: the insert cannot miss
-        if len(part.frames) == 1:
-            part.append_buffered(rec)
-        else:
-            super().insert_spilled(part, rec)
-
-    def free_memory(self, incoming_pid) -> Optional[Partition]:
+    def free_memory(self, incoming_pid: int) -> Optional[Partition]:
         return self._spill_resident(incoming_pid)
 
 
 class GrowSteal(GrowthPolicy):
     """G-S: spilled partitions grow while memory lasts; steal from them first."""
 
-    def insert_into_spilled(self, part, rec) -> bool:
-        return part.place(rec)
+    def insert_spilled(self, part: Partition, rec: Record) -> None:
+        while not part.place(rec):
+            if self.free_memory(part.pid) is not None:
+                continue
+            if part.num_frames == 0:
+                raise MemoryError("spilled-partition insert cannot make progress")
+            # last resort: recycle our own (full) frames via a flush
+            self.flush_spilled(part)
 
-    def free_memory(self, incoming_pid) -> Optional[Partition]:
+    def free_memory(self, incoming_pid: int) -> Optional[Partition]:
         # Steal: flush the spilled partition holding the most frames.
         spilled = [p for p in self.partitions if p.spilled and p.num_frames > 1]
         if spilled:
@@ -160,6 +148,4 @@ def make_policy(name: str, victim: VictimPolicy, stats: "JoinStats",
                 partitions: List[Partition]) -> GrowthPolicy:
     """Construct one round's growth policy from its canonical name, for
     the round's build ``partitions``."""
-    if name not in _BY_NAME:
-        raise KeyError(f"unknown growth policy {name!r}; choose from {sorted(_BY_NAME)}")
     return _BY_NAME[name](victim, stats, partitions)

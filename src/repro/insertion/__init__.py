@@ -2,7 +2,6 @@
 from .policies import (
     AppendN,
     BestFit,
-    FirstFit,
     FirstFitPct,
     InsertionPolicy,
     NAMES,
@@ -14,7 +13,6 @@ from .policies import (
 __all__ = [
     "AppendN",
     "BestFit",
-    "FirstFit",
     "FirstFitPct",
     "InsertionPolicy",
     "NAMES",

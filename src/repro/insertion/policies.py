@@ -70,15 +70,9 @@ class AppendN(InsertionPolicy):
         return self._newest_first(free, size, max(0, len(free) - self.n))
 
 
-class FirstFit(InsertionPolicy):
-    """First-Fit: scan every frame newest→oldest, stop at the first fit."""
-
-    def find_frame(self, free: List[int], size: int) -> Optional[int]:
-        return self._newest_first(free, size, 0)
-
-
 class FirstFitPct(InsertionPolicy):
-    """First-Fit(%p): like First-Fit but stop after ⌈p·|frames|⌉ frames."""
+    """First-Fit(%p): scan newest→oldest, stop at the first fit or after
+    ⌈p·|frames|⌉ frames; First-Fit is First-Fit(100%)."""
 
     def __init__(self, pct: float = 0.10) -> None:
         super().__init__()
@@ -143,8 +137,6 @@ class NextFit(InsertionPolicy):
         return None
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
-        if not free:
-            return None
         if self._last_index is None or self._last_index >= len(free):
             # first record (or state invalidated): newest → oldest
             return self._scan(free, size, len(free) - 1, -1)
@@ -170,8 +162,6 @@ class RandomPct(InsertionPolicy):
         self.rng = random.Random(seed)   # the operator seeds it with the pid
 
     def find_frame(self, free: List[int], size: int) -> Optional[int]:
-        if not free:
-            return None
         n = len(free)
         k = min(n, math.ceil(self.pct * n))
         if k == 1:
@@ -190,7 +180,7 @@ class RandomPct(InsertionPolicy):
 #: built from the seed of its random stream (only Random(%p) has one).
 _CONSTRUCTORS = {
     "append(8)": lambda seed: AppendN(8),
-    "first-fit": lambda seed: FirstFit(),
+    "first-fit": lambda seed: FirstFitPct(1.0),
     "first-fit(10%)": lambda seed: FirstFitPct(0.10),
     "best-fit": lambda seed: BestFit(),
     "next-fit": lambda seed: NextFit(),
@@ -205,7 +195,4 @@ NAMES = tuple(_CONSTRUCTORS)
 def make_policy(name: str, seed: int) -> InsertionPolicy:
     """Construct one policy from its canonical name (fresh stats);
     ``seed`` seeds a random search."""
-    if name not in _CONSTRUCTORS:
-        raise KeyError(f"unknown insertion policy {name!r}; "
-                       f"choose from {sorted(_CONSTRUCTORS)}")
     return _CONSTRUCTORS[name](seed)

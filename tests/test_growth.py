@@ -89,9 +89,9 @@ class TestNGNS:
         g = ng_ns(stats, [part])
         g.initial_spill(part)
         # fill the buffer: 900 fits
-        assert g.insert_into_spilled(part, (None, 900, "a"))
+        g.insert_spilled(part, (None, 900, "a"))
         # next 900 does not fit → buffer flushes as one random write
-        assert g.insert_into_spilled(part, (None, 900, "b"))
+        g.insert_spilled(part, (None, 900, "b"))
         assert part.num_frames == 1                       # invariant holds
         flushes = [w for w in stats.write_trace if w.n_frames == 1]
         assert len(flushes) == 1
@@ -104,8 +104,18 @@ class TestNGNS:
         g = ng_ns(stats, [part])
         g.initial_spill(part)
         for i in range(20):
-            g.insert_into_spilled(part, (None, 600, i))
+            g.insert_spilled(part, (None, 600, i))
             assert part.num_frames == 1
+
+    def test_insert_without_a_buffer_into_a_full_pool_raises(self):
+        # a broken invariant (no buffer) still fails loudly: the buffer
+        # is funded through the pool, which is full
+        pool, stats = BufferPool(3), JoinStats(CAP)
+        empty = Partition(0, CAP, pool, spill_files(stats))
+        full = filled_partition(1, 3, pool, stats)
+        empty.spill()
+        with pytest.raises(MemoryError, match="over budget"):
+            ng_ns(stats, [empty, full]).insert_spilled(empty, (0, 100, "x"))
 
     def test_free_memory_only_victimizes_residents(self):
         pool = BufferPool(16)
@@ -146,16 +156,22 @@ class TestGS:
         g = g_s(stats, [part])
         g.initial_spill(part)
         for i in range(10):
-            assert g.insert_into_spilled(part, (None, 900, i))
+            g.insert_spilled(part, (None, 900, i))
         assert part.num_frames > 1                       # it grew
 
-    def test_insert_fails_when_pool_exhausted(self):
-        pool = BufferPool(3)
-        stats = JoinStats(CAP)
-        part = filled_partition(0, 3, pool, stats)
-        g = g_s(stats, [part])
-        part.spilled = True          # simulate an already-spilled, full state
-        assert not g.insert_into_spilled(part, (None, 900, "x"))
+    def test_insert_into_a_full_pool_without_a_victim_flushes_its_own_frame(self):
+        pool, stats = BufferPool(3), JoinStats(CAP)
+        parts = [filled_partition(pid, 1, pool, stats) for pid in range(3)]
+        for q in parts:
+            q.spill()                      # each keeps one cleared buffer
+        g = g_s(stats, parts)
+        part = parts[0]
+        g.insert_spilled(part, (0, 900, "a"))
+        # nothing to steal and no resident: part's full buffer goes out
+        g.insert_spilled(part, (1, 900, "b"))
+        assert [(w.pid, w.n_frames) for w in stats.write_trace[3:]] == [(0, 1)]
+        assert part.frames == [[(1, 900, "b")]]
+        assert pool.allocated == 3
 
     def test_steal_flushes_largest_spilled_sequentially(self):
         pool = BufferPool(16)
@@ -270,7 +286,7 @@ class TestRoundMemoryPressure:
         pool, stats = BufferPool(3), JoinStats(CAP)
         empty = Partition(0, CAP, pool, spill_files(stats))
         parts = [empty] + [filled_partition(pid, 1, pool, stats) for pid in (1, 2, 3)]
-        g = ng_ns(stats, parts)
+        g = g_s(stats, parts)
         for q in parts:
             q.spill()
         with pytest.raises(MemoryError, match="cannot make progress"):
@@ -298,8 +314,9 @@ class TestRoundMemoryPressure:
 
 
 class TestSpilledInsertFastPaths:
-    """An NG-NS insert into its one buffer runs no hook; a G-S insert
-    that misses frees memory before it searches again."""
+    """An NG-NS insert is one append into its buffer and calls no
+    memory-pressure method; a G-S insert that misses frees memory before
+    it searches again."""
 
     def test_ngns_insert_into_its_buffer_is_one_append_and_no_hook(self, monkeypatch):
         pool, stats = BufferPool(4), JoinStats(CAP)
@@ -310,8 +327,7 @@ class TestSpilledInsertFastPaths:
         def forbidden(*args):
             raise AssertionError("a hook was called")
 
-        for hook in ("insert_into_spilled", "free_memory", "flush_spilled",
-                     "initial_spill", "make_room"):
+        for hook in ("free_memory", "flush_spilled", "initial_spill", "make_room"):
             monkeypatch.setattr(g, hook, forbidden)
         appended = []
         append = part.append_buffered
@@ -322,13 +338,6 @@ class TestSpilledInsertFastPaths:
         assert appended == [(1, 900, "a"), (2, 900, "b")]
         assert part.frames == [[(2, 900, "b")]]
         assert [w.n_frames for w in stats.write_trace] == [2, 1]
-
-    def test_ngns_partition_with_two_frames_still_trips_the_invariant(self):
-        pool, stats = BufferPool(4), JoinStats(CAP)
-        part = filled_partition(0, 2, pool, stats)
-        part.spilled = True                   # two frames: not NG-NS's state
-        with pytest.raises(AssertionError, match="one buffer per spilled partition"):
-            ng_ns(stats, [part]).insert_spilled(part, (1, 100, "a"))
 
     def test_gs_insert_that_needs_a_steal_searches_once_per_attempt(self):
         pool, stats = BufferPool(4), JoinStats(CAP)

@@ -7,7 +7,6 @@ import pytest
 from repro.insertion import (
     AppendN,
     BestFit,
-    FirstFit,
     FirstFitPct,
     NAMES,
     NextFit,
@@ -84,14 +83,16 @@ class TestAppendN:
 
 
 class TestFirstFit:
+    """First-Fit is First-Fit(100%): every frame may be searched."""
+
     def test_scans_all_until_fit(self):
-        pol = FirstFit()
+        pol = FirstFitPct(1.0)
         frames = frames_with_free(800, 10, 10, 10)
         assert pol.find_frame(frames, 100) == 0
         assert pol.frames_searched == 4
 
     def test_stops_at_first_fit_from_newest(self):
-        pol = FirstFit()
+        pol = FirstFitPct(1.0)
         frames = frames_with_free(800, 10, 500, 10)
         assert pol.find_frame(frames, 100) == 2
         assert pol.frames_searched == 2
@@ -104,10 +105,9 @@ class TestFirstFitPct:
         pol.find_frame(frames, 100)
         assert pol.frames_searched == 3  # ceil(0.1 * 25)
 
-    def test_full_pct_equals_first_fit(self):
-        frames = frames_with_free(800, 10, 10, 10)
-        assert FirstFitPct(1.0).find_frame(frames, 100) == \
-            FirstFit().find_frame(frames, 100)
+    def test_first_fit_is_the_full_pct(self):
+        pol = make_policy("first-fit", seed=0)
+        assert type(pol) is FirstFitPct and pol.pct == 1.0
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_invalid_pct(self, p):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import repro.core.join
 from repro.core.join import BATCH_RECORDS, DynamicHybridHashJoin, HHJConfig
 from repro.frames.spillfile import DiskSpillFile, SpillFile
+from repro.growth import NoGrowNoSteal
 from repro.insertion import NAMES as INSERTION_NAMES
 from repro.victim import NAMES as VICTIM_NAMES
 
@@ -479,8 +480,16 @@ class TestDifferential:
         # run of the same case with the fault injected
         cfg_kw, build, probe = case
         expected = naive_hash_join(build, probe)
+        insert_spilled = NoGrowNoSteal.insert_spilled
+
+        def one_buffer(growth, part, rec):
+            # NG-NS's insert is a bare append: it relies on this
+            assert len(part.frames) == 1, "NG-NS: one buffer per spilled partition"
+            insert_spilled(growth, part, rec)
+
         # small input batches put batch boundaries inside every phase
-        with mock.patch.object(repro.core.join, "BATCH_RECORDS", batch_records):
+        with mock.patch.object(repro.core.join, "BATCH_RECORDS", batch_records), \
+                mock.patch.object(NoGrowNoSteal, "insert_spilled", one_buffer):
             check_equals_naive_join(cfg_kw, build, probe, expected)
             if fault is not None:
                 check_fault_cleans_up(cfg_kw, build, probe, expected, fault, k,
